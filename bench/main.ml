@@ -1352,7 +1352,7 @@ let micro () =
            ignore (Bgp.Peer_table.mem table 94 : bool)))
   in
   let test_fib_lookup =
-    let fib = Netcore.Fib_history.create ~n:1 in
+    let fib = Netcore.Fib_history.create ~n:2 in
     for i = 0 to 99 do
       Netcore.Fib_history.record fib ~time:(float_of_int i) ~node:0
         ~next_hop:(if i mod 2 = 0 then Some 1 else None)
@@ -1366,10 +1366,11 @@ let micro () =
     for v = 1 to 9 do
       Netcore.Fib_history.record fib ~time:0. ~node:v ~next_hop:(Some (v - 1))
     done;
+    let plane = Traffic.Forwarder.compile fib in
     Test.make ~name:"forwarder: 9-hop walk"
       (Staged.stage (fun () ->
            ignore
-             (Traffic.Forwarder.walk ~fib ~origin:0 ~link_delay:0.002 ~ttl:128
+             (Traffic.Forwarder.walk plane ~origin:0 ~link_delay:0.002 ~ttl:128
                 ~src:9 ~send_time:1.)))
   in
   let test_routing_sim =

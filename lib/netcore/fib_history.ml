@@ -31,6 +31,12 @@ let current t node =
 
 let record t ~time ~node ~next_hop =
   check_node t node;
+  if Float.is_nan time then invalid_arg "Fib_history.record: time is NaN";
+  (match next_hop with
+  | Some hop when hop < 0 || hop >= t.n ->
+      invalid_arg
+        (Printf.sprintf "Fib_history.record: next hop %d out of range" hop)
+  | Some _ | None -> ());
   (match Dessim.Vec.last t.per_node.(node) with
   | Some (last_time, _) when time < last_time ->
       invalid_arg

@@ -20,8 +20,8 @@ val n_nodes : t -> int
 val record : t -> time:float -> node:int -> next_hop:int option -> unit
 (** Appends a change.  Recording the same next hop a node already has
     is ignored (not a change).
-    @raise Invalid_argument if [time] precedes the node's last change
-    or [node] is out of range. *)
+    @raise Invalid_argument if [time] is NaN or precedes the node's
+    last change, or if [node] or the next hop is outside [\[0, n)]. *)
 
 val lookup : t -> node:int -> time:float -> int option
 (** Next hop in effect at [time]: the latest change with

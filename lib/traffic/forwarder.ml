@@ -16,16 +16,297 @@ let pp_fate fmt = function
   | Unreachable { time; at_node } ->
       Format.fprintf fmt "unreachable at node %d, time %g" at_node time
 
-let walk ~fib ~origin ~link_delay ~ttl ~src ~send_time =
-  if ttl <= 0 then invalid_arg "Forwarder.walk: ttl <= 0";
-  if link_delay <= 0. then invalid_arg "Forwarder.walk: link_delay <= 0";
-  let rec step node time ttl_left hops =
-    if node = origin then Delivered { time; hops }
-    else if ttl_left = 0 then Ttl_exhausted { time; at_node = node }
-    else
-      match Netcore.Fib_history.lookup fib ~node ~time with
-      | None -> Unreachable { time; at_node = node }
-      | Some next ->
-          step next (time +. link_delay) (ttl_left - 1) (hops + 1)
+type plane = {
+  n : int;
+  first : int array;
+      (** node [v]'s changes are [first.(v)] to [first.(v + 1) - 1] *)
+  times : float array;
+  next : int array;  (** next hop after each change; [-1] is "no route" *)
+  cursor : int array;
+      (** per node, the change last found in effect: only where a lookup
+          starts scanning, so its value never changes a result *)
+  instants : float array;
+      (** the distinct change instants ascending, then [infinity];
+          epoch [j] is [\[instants.(j), instants.(j + 1))] and epoch [-1]
+          precedes every change *)
+}
+
+(* [sorted buf len] is [buf]'s first [len] floats (NaN-free) in
+   ascending order, in a fresh array; [buf] is scratch.  A natural merge
+   sort on unboxed floats ([Array.sort compare] boxes every element it
+   compares): the input is a few ascending runs, one per source or node,
+   so it makes few passes. *)
+let sorted (buf : float array) len =
+  let starts_run i = i = 0 || buf.(i) < buf.(i - 1) in
+  let k = ref 0 in
+  for i = 0 to len - 1 do
+    if starts_run i then incr k
+  done;
+  (* run [r] is [\[runs.(r), runs.(r + 1))] *)
+  let runs = Array.make (!k + 1) len and r = ref 0 in
+  for i = 0 to len - 1 do
+    if starts_run i then begin
+      runs.(!r) <- i;
+      incr r
+    end
+  done;
+  let out = Array.make len 0. in
+  let src = ref buf and dst = ref out in
+  while !k > 1 do
+    let s = !src and d = !dst and merged = ref 0 and r = ref 0 in
+    while !r < !k do
+      let lo = runs.(!r)
+      and mid = runs.(Stdlib.min (!r + 1) !k)
+      and hi = runs.(Stdlib.min (!r + 2) !k) in
+      let i = ref lo and j = ref mid in
+      for o = lo to hi - 1 do
+        if !j >= hi || (!i < mid && s.(!i) <= s.(!j)) then begin
+          d.(o) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(o) <- s.(!j);
+          incr j
+        end
+      done;
+      runs.(!merged) <- lo;
+      incr merged;
+      r := !r + 2
+    done;
+    runs.(!merged) <- len;
+    k := !merged;
+    src := d;
+    dst := s
+  done;
+  if !src != out then Array.blit !src 0 out 0 len;
+  out
+
+let compile fib =
+  let n = Netcore.Fib_history.n_nodes fib in
+  let changes =
+    Array.of_list (Netcore.Fib_history.changes_from fib ~from:neg_infinity)
   in
-  step src send_time ttl 0
+  let m = Array.length changes in
+  let first = Array.make (n + 1) 0 in
+  Array.iter
+    (fun (c : Netcore.Fib_history.change) ->
+      first.(c.node + 1) <- first.(c.node + 1) + 1)
+    changes;
+  for v = 1 to n do
+    first.(v) <- first.(v) + first.(v - 1)
+  done;
+  let times = Array.make m 0. and next = Array.make m (-1) in
+  (* recording order is per-node chronological order *)
+  let fill = Array.sub first 0 n in
+  Array.iter
+    (fun (c : Netcore.Fib_history.change) ->
+      let i = fill.(c.node) in
+      fill.(c.node) <- i + 1;
+      times.(i) <- c.time;
+      next.(i) <- Option.value c.next_hop ~default:(-1))
+    changes;
+  let sorted = sorted (Array.copy times) m in
+  let instants = Array.make (m + 1) infinity and distinct = ref 0 in
+  Array.iter
+    (fun t ->
+      if !distinct = 0 || t > instants.(!distinct - 1) then begin
+        instants.(!distinct) <- t;
+        incr distinct
+      end)
+    sorted;
+  {
+    n;
+    first;
+    times;
+    next;
+    cursor = Array.init n (fun v -> first.(v) - 1);
+    instants = Array.sub instants 0 (!distinct + 1);
+  }
+
+(* The largest [i] in [\[lo, hi)] with [a.(i) <= t], or [lo - 1] if
+   none, for [a] ascending on [\[lo, hi)].  Exact from any start [i] in
+   [\[lo - 1, hi)]; short when [i] answered a nearby time.  A NaN [t]
+   finds [lo - 1], as a binary search does.  Inlined, so [t] stays
+   unboxed. *)
+let[@inline] seek (a : float array) ~lo ~hi i (t : float) =
+  let i = ref i in
+  while !i + 1 < hi && a.(!i + 1) <= t do
+    incr i
+  done;
+  while !i >= lo && not (a.(!i) <= t) do
+    decr i
+  done;
+  !i
+
+let delivered = 0
+
+let exhausted = 1
+
+let unreachable = 2
+
+(* A walk's outcome, written in place so the packet loop allocates
+   nothing: [clock] holds the send time on entry, then the fate time and
+   the last lookup time. *)
+type probe = { clock : float array; mutable node : int; mutable hops : int }
+
+(* One packet's hop-by-hop walk; returns its fate code.  At node [v] and
+   time [t] the packet takes [v]'s next hop as of [t] (the latest change
+   at or before [t], the last recorded on ties). *)
+let walk_packet p probe ~origin ~link_delay ~ttl ~src =
+  let node = ref src and hops = ref 0 and code = ref (-1) in
+  let time = ref probe.clock.(0) in
+  let last = ref !time in
+  while !code < 0 do
+    let v = !node in
+    if v = origin then code := delivered
+    else if !hops = ttl then code := exhausted
+    else begin
+      let lo = p.first.(v) in
+      let c = seek p.times ~lo ~hi:p.first.(v + 1) p.cursor.(v) !time in
+      p.cursor.(v) <- c;
+      last := !time;
+      let hop = if c < lo then -1 else p.next.(c) in
+      if hop < 0 then code := unreachable
+      else begin
+        node := hop;
+        time := !time +. link_delay;
+        incr hops
+      end
+    end
+  done;
+  probe.clock.(0) <- !time;
+  probe.clock.(1) <- !last;
+  probe.node <- !node;
+  probe.hops <- !hops;
+  !code
+
+let check_walk ~link_delay ~ttl =
+  if ttl <= 0 then invalid_arg "Forwarder.walk: ttl <= 0";
+  if link_delay <= 0. then invalid_arg "Forwarder.walk: link_delay <= 0"
+
+let walk p ~origin ~link_delay ~ttl ~src ~send_time =
+  check_walk ~link_delay ~ttl;
+  if src <> origin && (src < 0 || src >= p.n) then
+    invalid_arg (Printf.sprintf "Forwarder.walk: node %d out of range" src);
+  let probe = { clock = Array.make 2 send_time; node = src; hops = 0 } in
+  let code = walk_packet p probe ~origin ~link_delay ~ttl ~src in
+  let time = probe.clock.(0) in
+  if code = delivered then Delivered { time; hops = probe.hops }
+  else if code = exhausted then Ttl_exhausted { time; at_node = probe.node }
+  else Unreachable { time; at_node = probe.node }
+
+type tally = {
+  sources : int array;
+  sent : int array;
+  delivered : int array;
+  unreachable : int array;
+  exhausted : int array;
+  sent_for_ratio : int;
+  drops : float array;
+}
+
+let streams p ~origin ~n ~link_delay ~ttl ~rate ~window:(t0, t1) ~seed
+    ?ratio_cutoff ?sources () =
+  if rate <= 0. then invalid_arg "Forwarder.streams: rate <= 0";
+  if t1 < t0 then invalid_arg "Forwarder.streams: window end before start";
+  check_walk ~link_delay ~ttl;
+  let ratio_cutoff = Option.value ratio_cutoff ~default:t1 in
+  let sources =
+    match sources with
+    | Some l ->
+        List.iter
+          (fun s ->
+            if s = origin then invalid_arg "Forwarder.streams: source = origin")
+          l;
+        Array.of_list l
+    | None ->
+        Array.of_list (List.filter (fun v -> v <> origin) (List.init n Fun.id))
+  in
+  Array.iter
+    (fun s ->
+      if s < 0 || s >= Stdlib.min n p.n then
+        invalid_arg "Forwarder.streams: source out of range")
+    sources;
+  let k = Array.length sources in
+  let rng = Dessim.Rng.create ~seed in
+  let interval = 1. /. rate in
+  let phases = Array.init k (fun _ -> Dessim.Rng.float rng interval) in
+  (* each source's packet count, by the sums the loop below makes; their
+     total sizes the exhaustion buffer, so it never grows *)
+  let sent =
+    Array.map
+      (fun phase ->
+        let count = ref 0 and time = ref (t0 +. phase) in
+        while !time < t1 do
+          incr count;
+          time := !time +. interval
+        done;
+        !count)
+      phases
+  in
+  let delivered_n = Array.make k 0
+  and unreachable_n = Array.make k 0
+  and exhausted_n = Array.make k 0 in
+  let sent_for_ratio = ref 0 in
+  let drops = Array.make (Array.fold_left ( + ) 0 sent) 0.
+  and n_drops = ref 0 in
+  let probe = { clock = Array.make 2 0.; node = 0; hops = 0 } in
+  let instants = p.instants in
+  let m = Array.length instants - 1 in
+  let epoch0 = seek instants ~lo:0 ~hi:m (-1) t0 in
+  for i = 0 to k - 1 do
+    let src = sources.(i) in
+    let time = ref (t0 +. phases.(i)) and epoch = ref epoch0 in
+    (* the last packet whose walk stayed inside one epoch: its epoch,
+       fate code and lookup count *)
+    let memo_epoch = ref (-2) and memo_code = ref 0 and memo_lookups = ref 0 in
+    while !time < t1 do
+      let send = !time in
+      if send < ratio_cutoff then incr sent_for_ratio;
+      epoch := seek instants ~lo:0 ~hi:m !epoch send;
+      (* The FIB is constant within an epoch, so a packet whose lookups
+         all fall inside the memo's epoch repeats the memo's walk node
+         for node.  Only its clock differs, and that is the same
+         sequence of additions the walk would make. *)
+      let code = ref (-1) and drop_time = ref send in
+      if !epoch = !memo_epoch then begin
+        let last = ref send in
+        for _ = 2 to !memo_lookups do
+          last := !last +. link_delay
+        done;
+        if !last < instants.(!epoch + 1) then begin
+          code := !memo_code;
+          drop_time := !last +. link_delay
+        end
+      end;
+      if !code < 0 then begin
+        probe.clock.(0) <- send;
+        code := walk_packet p probe ~origin ~link_delay ~ttl ~src;
+        drop_time := probe.clock.(0);
+        if probe.clock.(1) < instants.(!epoch + 1) then begin
+          memo_epoch := !epoch;
+          memo_code := !code;
+          (* an unreachable walk's last lookup found no next hop *)
+          memo_lookups :=
+            if !code = unreachable then probe.hops + 1 else probe.hops
+        end
+      end;
+      if !code = delivered then delivered_n.(i) <- delivered_n.(i) + 1
+      else if !code = exhausted then begin
+        exhausted_n.(i) <- exhausted_n.(i) + 1;
+        drops.(!n_drops) <- !drop_time;
+        incr n_drops
+      end
+      else unreachable_n.(i) <- unreachable_n.(i) + 1;
+      time := !time +. interval
+    done
+  done;
+  {
+    sources;
+    sent;
+    delivered = delivered_n;
+    unreachable = unreachable_n;
+    exhausted = exhausted_n;
+    sent_for_ratio = !sent_for_ratio;
+    drops = sorted drops !n_drops;
+  }

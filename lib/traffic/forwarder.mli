@@ -4,7 +4,11 @@
     of [t] (the FIB between two change instants is constant, so this is
     exactly what a co-simulated packet would see); each hop takes one
     link delay and decrements the TTL by one — one TTL unit per AS, as
-    in the paper's simulations. *)
+    in the paper's simulations.
+
+    Walks run on a {!plane}: the history compiled once into flat
+    per-node columns, whose lookups resume from where the node's last
+    lookup ended instead of searching its whole change list. *)
 
 type fate =
   | Delivered of { time : float; hops : int }
@@ -17,14 +21,61 @@ val fate_time : fate -> float
 
 val pp_fate : Format.formatter -> fate -> unit
 
+type plane
+(** A compiled FIB history: per-node change times and next hops in
+    unboxed arrays, a per-node lookup cursor, and the distinct change
+    instants that bound the epochs in which the whole FIB is constant.
+    Size O(n + changes).  Later changes to the history are not seen. *)
+
+val compile : Netcore.Fib_history.t -> plane
+
 val walk :
-  fib:Netcore.Fib_history.t ->
+  plane ->
   origin:int ->
   link_delay:float ->
   ttl:int ->
   src:int ->
   send_time:float ->
   fate
-(** [walk ~fib ~origin ~link_delay ~ttl ~src ~send_time] traces one
+(** [walk plane ~origin ~link_delay ~ttl ~src ~send_time] traces one
     packet from [src] to the destination attached to [origin].
-    @raise Invalid_argument if [ttl <= 0] or [link_delay <= 0.]. *)
+    @raise Invalid_argument if [ttl <= 0], [link_delay <= 0.], or
+    [src <> origin] lies outside the history's nodes. *)
+
+(** Outcome of {!streams}; the int arrays are per source, in the order
+    of [sources]. *)
+type tally = {
+  sources : int array;
+  sent : int array;
+  delivered : int array;
+  unreachable : int array;
+  exhausted : int array;
+  sent_for_ratio : int;
+      (** packets sent before [ratio_cutoff] (default [t1]) *)
+  drops : float array;  (** TTL-exhaustion times, ascending *)
+}
+
+val streams :
+  plane ->
+  origin:int ->
+  n:int ->
+  link_delay:float ->
+  ttl:int ->
+  rate:float ->
+  window:float * float ->
+  seed:int ->
+  ?ratio_cutoff:float ->
+  ?sources:int list ->
+  unit ->
+  tally
+(** The packet loop behind {!Replay.run} and {!Per_source.run}: each
+    source (every node but [origin] below [n] by default) sends at
+    [t0 + phase + k/rate] for send times in [\[t0, t1)], its phase
+    drawn in source order from [seed].  Every fate equals {!walk}'s.
+    A packet that starts in the epoch of its source's last walk that
+    stayed inside one epoch, and whose own last lookup still falls
+    before that epoch ends, takes that walk's fate without a lookup;
+    its fate time comes from the same additions a walk makes.
+    @raise Invalid_argument on a non-positive [rate], [t1 < t0], an
+    invalid [ttl] or [link_delay] (as {!walk}), or a source equal to
+    [origin] or outside [\[0, min n nodes)]. *)

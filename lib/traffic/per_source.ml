@@ -9,43 +9,20 @@ type stats = {
 let looping_ratio s =
   if s.sent = 0 then 0. else float_of_int s.exhausted /. float_of_int s.sent
 
-let run ~fib ~origin ~n ~link_delay ~ttl ~rate ~window:(t0, t1) ~seed ?sources
-    () =
-  if rate <= 0. then invalid_arg "Per_source.run: rate <= 0";
-  if t1 < t0 then invalid_arg "Per_source.run: window end before start";
-  let sources =
-    match sources with
-    | Some l -> l
-    | None -> List.filter (fun v -> v <> origin) (List.init n Fun.id)
+let run ~fib ~origin ~n ~link_delay ~ttl ~rate ~window ~seed ?sources () =
+  let t =
+    Forwarder.streams (Forwarder.compile fib) ~origin ~n ~link_delay ~ttl ~rate
+      ~window ~seed ?sources ()
   in
-  let rng = Dessim.Rng.create ~seed in
-  let interval = 1. /. rate in
-  let one src =
-    let phase = Dessim.Rng.float rng interval in
-    let sent = ref 0
-    and delivered = ref 0
-    and unreachable = ref 0
-    and exhausted = ref 0 in
-    let time = ref (t0 +. phase) in
-    while !time < t1 do
-      incr sent;
-      (match
-         Forwarder.walk ~fib ~origin ~link_delay ~ttl ~src ~send_time:!time
-       with
-      | Forwarder.Delivered _ -> incr delivered
-      | Forwarder.Unreachable _ -> incr unreachable
-      | Forwarder.Ttl_exhausted _ -> incr exhausted);
-      time := !time +. interval
-    done;
-    {
-      src;
-      sent = !sent;
-      delivered = !delivered;
-      unreachable = !unreachable;
-      exhausted = !exhausted;
-    }
-  in
-  List.map one sources |> List.sort (fun a b -> compare a.src b.src)
+  List.init (Array.length t.sources) (fun i ->
+      {
+        src = t.sources.(i);
+        sent = t.sent.(i);
+        delivered = t.delivered.(i);
+        unreachable = t.unreachable.(i);
+        exhausted = t.exhausted.(i);
+      })
+  |> List.sort (fun a b -> compare a.src b.src)
 
 let affected stats =
   List.filter_map (fun s -> if s.exhausted > 0 then Some s.src else None) stats

@@ -29,8 +29,9 @@ val run :
   unit ->
   stats list
 (** Same workload as {!Replay.run} (same arguments, same per-source
-    phase draws) but keeps the counters per source, ascending by
-    source. *)
+    phase draws, same packet loop) but keeps the counters per source,
+    ascending by source.
+    @raise Invalid_argument as {!Replay.run}. *)
 
 val affected : stats list -> int list
 (** Sources that saw at least one TTL exhaustion, ascending. *)

@@ -18,62 +18,21 @@ let looping_ratio r =
   if r.sent_for_ratio = 0 then 0.
   else float_of_int r.exhausted /. float_of_int r.sent_for_ratio
 
-let run ~fib ~origin ~n ~link_delay ~ttl ~rate ~window:(t0, t1) ~seed
-    ?ratio_cutoff ?sources () =
-  if rate <= 0. then invalid_arg "Replay.run: rate <= 0";
-  if t1 < t0 then invalid_arg "Replay.run: window end before start";
-  let ratio_cutoff = Option.value ratio_cutoff ~default:t1 in
-  let sources =
-    match sources with
-    | Some l ->
-        List.iter
-          (fun s ->
-            if s = origin then invalid_arg "Replay.run: source = origin";
-            if s < 0 || s >= n then
-              invalid_arg "Replay.run: source out of range")
-          l;
-        l
-    | None -> List.filter (fun v -> v <> origin) (List.init n Fun.id)
+let run ~fib ~origin ~n ~link_delay ~ttl ~rate ~window ~seed ?ratio_cutoff
+    ?sources () =
+  let t =
+    Forwarder.streams (Forwarder.compile fib) ~origin ~n ~link_delay ~ttl ~rate
+      ~window ~seed ?ratio_cutoff ?sources ()
   in
-  let rng = Dessim.Rng.create ~seed in
-  let interval = 1. /. rate in
-  let sent = ref 0
-  and sent_for_ratio = ref 0
-  and delivered = ref 0
-  and unreachable = ref 0
-  and exhausted = ref 0 in
-  let exhaustions = Dessim.Vec.create () in
-  let send_one src time =
-    incr sent;
-    if time < ratio_cutoff then incr sent_for_ratio;
-    match
-      Forwarder.walk ~fib ~origin ~link_delay ~ttl ~src ~send_time:time
-    with
-    | Forwarder.Delivered _ -> incr delivered
-    | Forwarder.Unreachable _ -> incr unreachable
-    | Forwarder.Ttl_exhausted { time = drop_time; _ } ->
-        incr exhausted;
-        Dessim.Vec.push exhaustions drop_time
-  in
-  List.iter
-    (fun src ->
-      let phase = Dessim.Rng.float rng interval in
-      let time = ref (t0 +. phase) in
-      while !time < t1 do
-        send_one src !time;
-        time := !time +. interval
-      done)
-    sources;
-  let exhaustion_times = Dessim.Vec.to_array exhaustions in
-  (* bgpsim-lint: allow D004 — compare as a total order for sorting finite times *)
-  Array.sort compare exhaustion_times;
+  let sum = Array.fold_left ( + ) 0 in
+  let exhaustion_times = t.drops in
   let count = Array.length exhaustion_times in
   {
-    sent = !sent;
-    sent_for_ratio = !sent_for_ratio;
-    delivered = !delivered;
-    unreachable = !unreachable;
-    exhausted = !exhausted;
+    sent = sum t.sent;
+    sent_for_ratio = t.sent_for_ratio;
+    delivered = sum t.delivered;
+    unreachable = sum t.unreachable;
+    exhausted = sum t.exhausted;
     first_exhaustion = (if count = 0 then None else Some exhaustion_times.(0));
     last_exhaustion =
       (if count = 0 then None else Some exhaustion_times.(count - 1));

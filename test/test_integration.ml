@@ -163,12 +163,13 @@ let forwarding_loop_free r =
   let graph, origin, _ = Experiment.resolve r.spec in
   let n = Topo.Graph.n_nodes graph in
   let late = r.outcome.convergence_end +. 100. in
+  let plane = Traffic.Forwarder.compile fib in
   List.for_all
     (fun src ->
       src = origin
       ||
       match
-        Traffic.Forwarder.walk ~fib ~origin ~link_delay:0.002 ~ttl:(4 * n)
+        Traffic.Forwarder.walk plane ~origin ~link_delay:0.002 ~ttl:(4 * n)
           ~src ~send_time:late
       with
       | Traffic.Forwarder.Ttl_exhausted _ -> false

@@ -295,6 +295,7 @@ let prop_scanner_consistent_with_forwarder =
         |> List.filter (fun (_, node, nh) -> nh <> Some node)
       in
       let fib = fib_with ~n:5 changes in
+      let plane = Traffic.Forwarder.compile fib in
       let report = Loopscan.Scanner.scan ~fib ~origin:0 ~from:0. () in
       let alive_at t =
         List.exists
@@ -308,7 +309,7 @@ let prop_scanner_consistent_with_forwarder =
           || List.for_all
                (fun src ->
                  match
-                   Traffic.Forwarder.walk ~fib ~origin:0 ~link_delay:1e-9
+                   Traffic.Forwarder.walk plane ~origin:0 ~link_delay:1e-9
                      ~ttl:1000 ~src ~send_time:t
                  with
                  | Traffic.Forwarder.Ttl_exhausted _ -> false

@@ -45,20 +45,40 @@ let test_fib_lookup_semantics () =
   Alcotest.(check bool) "after withdrawal" true (look 6. = None)
 
 let test_fib_dedupes_no_ops () =
-  let fib = Netcore.Fib_history.create ~n:1 in
+  let fib = Netcore.Fib_history.create ~n:2 in
   Netcore.Fib_history.record fib ~time:1. ~node:0 ~next_hop:(Some 1);
   Netcore.Fib_history.record fib ~time:2. ~node:0 ~next_hop:(Some 1);
   Alcotest.(check int) "one real change" 1
     (Netcore.Fib_history.change_count fib)
 
 let test_fib_rejects_time_regression () =
-  let fib = Netcore.Fib_history.create ~n:1 in
+  let fib = Netcore.Fib_history.create ~n:2 in
   Netcore.Fib_history.record fib ~time:5. ~node:0 ~next_hop:(Some 1);
   Alcotest.(check bool) "raises" true
     (try
        Netcore.Fib_history.record fib ~time:4. ~node:0 ~next_hop:None;
        false
      with Invalid_argument _ -> true)
+
+let test_fib_rejects_malformed_changes () =
+  let fib = Netcore.Fib_history.create ~n:3 in
+  let rejects ~time ~node ~next_hop =
+    try
+      Netcore.Fib_history.record fib ~time ~node ~next_hop;
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "next hop = n" true
+    (rejects ~time:1. ~node:0 ~next_hop:(Some 3));
+  Alcotest.(check bool) "negative next hop" true
+    (rejects ~time:1. ~node:0 ~next_hop:(Some (-1)));
+  Alcotest.(check bool) "NaN time" true
+    (rejects ~time:Float.nan ~node:0 ~next_hop:(Some 1));
+  Alcotest.(check int) "nothing recorded" 0
+    (Netcore.Fib_history.change_count fib);
+  Netcore.Fib_history.record fib ~time:1. ~node:0 ~next_hop:(Some 2);
+  Alcotest.(check bool) "next hop n - 1 accepted" true
+    (Netcore.Fib_history.lookup fib ~node:0 ~time:1. = Some 2)
 
 let test_fib_snapshot_strictly_before () =
   let fib = Netcore.Fib_history.create ~n:2 in
@@ -101,7 +121,7 @@ let prop_fib_lookup_matches_reference =
       let changes =
         List.sort (fun (a, _) (b, _) -> compare a b) raw
       in
-      let fib = Netcore.Fib_history.create ~n:1 in
+      let fib = Netcore.Fib_history.create ~n:5 in
       List.iter
         (fun (time, nh) ->
           Netcore.Fib_history.record fib ~time ~node:0 ~next_hop:nh)
@@ -353,6 +373,7 @@ let () =
           tc "lookup semantics" test_fib_lookup_semantics;
           tc "no-op changes dropped" test_fib_dedupes_no_ops;
           tc "rejects time regression" test_fib_rejects_time_regression;
+          tc "rejects malformed changes" test_fib_rejects_malformed_changes;
           tc "snapshot is strictly-before" test_fib_snapshot_strictly_before;
           tc "changes_from" test_fib_changes_from;
           tc "equal-time order kept" test_fib_equal_time_changes_keep_order;

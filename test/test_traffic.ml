@@ -9,7 +9,7 @@ let fib_with ~n changes =
     changes;
   fib
 
-let walk = Traffic.Forwarder.walk
+let walk ~fib = Traffic.Forwarder.walk (Traffic.Forwarder.compile fib)
 
 (* --- Forwarder --- *)
 
@@ -83,7 +83,10 @@ let test_walk_validation () =
          walk ~fib ~origin:0 ~link_delay:0.002 ~ttl:0 ~src:1 ~send_time:0.));
   Alcotest.(check bool) "bad delay" true
     (raises (fun () ->
-         walk ~fib ~origin:0 ~link_delay:0. ~ttl:4 ~src:1 ~send_time:0.))
+         walk ~fib ~origin:0 ~link_delay:0. ~ttl:4 ~src:1 ~send_time:0.));
+  Alcotest.(check bool) "source out of range" true
+    (raises (fun () ->
+         walk ~fib ~origin:0 ~link_delay:0.002 ~ttl:4 ~src:2 ~send_time:0.))
 
 (* --- Replay --- *)
 
@@ -259,6 +262,20 @@ let test_per_source_identifies_affected () =
   Alcotest.(check (float 1e-9)) "node 1 fully looped" 1.
     (Traffic.Per_source.looping_ratio (stats_of 1))
 
+let test_per_source_validation () =
+  let fib = stable_chain_fib () in
+  let raises sources =
+    try
+      ignore
+        (Traffic.Per_source.run ~fib ~origin:0 ~n:4 ~link_delay:0.002 ~ttl:128
+           ~rate:10. ~window:(0., 1.) ~seed:1 ~sources ());
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "origin as source" true (raises [ 1; 0 ]);
+  Alcotest.(check bool) "source out of range" true (raises [ 4 ]);
+  Alcotest.(check bool) "negative source" true (raises [ -1 ])
+
 let test_per_source_footnote4_b_clique () =
   (* The paper's footnote 4: in a B-Clique T_long (failing link (n,0)),
      chain nodes 2..n/2 are not affected and their packets never
@@ -288,6 +305,285 @@ let test_per_source_footnote4_b_clique () =
         (Printf.sprintf "chain node %d unaffected" v)
         0 (stats_of v).exhausted)
     [ 1; 2; 3 ]
+
+(* --- Differential wall: the compiled plane against the binary-search
+   walk it replaced --- *)
+
+(* The reference: one [Fib_history.lookup] per hop. *)
+let ref_walk fib ~origin ~link_delay ~ttl ~src ~send_time =
+  if ttl <= 0 || link_delay <= 0. then invalid_arg "ref_walk";
+  let rec step node time ttl_left hops =
+    if node = origin then Traffic.Forwarder.Delivered { time; hops }
+    else if ttl_left = 0 then
+      Traffic.Forwarder.Ttl_exhausted { time; at_node = node }
+    else
+      match Netcore.Fib_history.lookup fib ~node ~time with
+      | None -> Traffic.Forwarder.Unreachable { time; at_node = node }
+      | Some next -> step next (time +. link_delay) (ttl_left - 1) (hops + 1)
+  in
+  step src send_time ttl 0
+
+(* The reference packet loop: per source, its (send time, fate) list. *)
+let ref_streams ~fib ~origin ~n ~link_delay ~ttl ~rate ~window:(t0, t1) ~seed
+    ?sources () =
+  if rate <= 0. || t1 < t0 then invalid_arg "ref_streams";
+  let sources =
+    match sources with
+    | Some l ->
+        List.iter
+          (fun s -> if s = origin || s < 0 || s >= n then invalid_arg "source")
+          l;
+        l
+    | None -> List.filter (fun v -> v <> origin) (List.init n Fun.id)
+  in
+  let rng = Dessim.Rng.create ~seed in
+  let interval = 1. /. rate in
+  List.map
+    (fun src ->
+      let phase = Dessim.Rng.float rng interval in
+      let fates = ref [] and time = ref (t0 +. phase) in
+      while !time < t1 do
+        let fate =
+          ref_walk fib ~origin ~link_delay ~ttl ~src ~send_time:!time
+        in
+        fates := (!time, fate) :: !fates;
+        time := !time +. interval
+      done;
+      (src, List.rev !fates))
+    sources
+
+let is_delivered = function Traffic.Forwarder.Delivered _ -> true | _ -> false
+
+let is_unreachable = function
+  | Traffic.Forwarder.Unreachable _ -> true
+  | _ -> false
+
+let drop_time = function
+  | Traffic.Forwarder.Ttl_exhausted { time; _ } -> Some time
+  | _ -> None
+
+let ref_result streams ~ratio_cutoff : Traffic.Replay.result =
+  let all = List.concat_map snd streams in
+  let count p = List.length (List.filter (fun (_, f) -> p f) all) in
+  let exhaustion_times =
+    Array.of_list (List.filter_map (fun (_, f) -> drop_time f) all)
+  in
+  Array.sort compare exhaustion_times;
+  let k = Array.length exhaustion_times in
+  {
+    sent = List.length all;
+    sent_for_ratio =
+      List.length (List.filter (fun (t, _) -> t < ratio_cutoff) all);
+    delivered = count is_delivered;
+    unreachable = count is_unreachable;
+    exhausted = k;
+    first_exhaustion = (if k = 0 then None else Some exhaustion_times.(0));
+    last_exhaustion = (if k = 0 then None else Some exhaustion_times.(k - 1));
+    exhaustion_times;
+  }
+
+let ref_per_source streams : Traffic.Per_source.stats list =
+  List.map
+    (fun (src, fates) ->
+      let count p = List.length (List.filter (fun (_, f) -> p f) fates) in
+      {
+        Traffic.Per_source.src;
+        sent = List.length fates;
+        delivered = count is_delivered;
+        unreachable = count is_unreachable;
+        exhausted = count (fun f -> drop_time f <> None);
+      })
+    streams
+  |> List.sort (fun (a : Traffic.Per_source.stats) b -> compare a.src b.src)
+
+(* Floats compared bit for bit. *)
+let bits = Int64.bits_of_float
+
+let result_bits (r : Traffic.Replay.result) =
+  ( (r.sent, r.sent_for_ratio, r.delivered, r.unreachable, r.exhausted),
+    (Option.map bits r.first_exhaustion, Option.map bits r.last_exhaustion),
+    Array.map bits r.exhaustion_times )
+
+let fate_bits = function
+  | Traffic.Forwarder.Delivered { time; hops } -> (0, bits time, hops)
+  | Traffic.Forwarder.Ttl_exhausted { time; at_node } -> (1, bits time, at_node)
+  | Traffic.Forwarder.Unreachable { time; at_node } -> (2, bits time, at_node)
+
+(* [Ok] the value, or [Error] when the call rejected its arguments. *)
+let outcome f = try Ok (f ()) with Invalid_argument _ -> Error ()
+
+type case = {
+  n : int;
+  changes : (float * int * int option) list;
+  origin : int;
+  ttl : int;
+  link_delay : float;
+  rate : float;
+  window : float * float;
+  ratio_cutoff : float;
+  seed : int;
+  sources : int list option;
+}
+
+let print_case c =
+  Printf.sprintf
+    "n=%d origin=%d ttl=%d delay=%g rate=%g window=(%g, %g) cutoff=%g \
+     seed=%d sources=%s changes=[%s]"
+    c.n c.origin c.ttl c.link_delay c.rate (fst c.window) (snd c.window)
+    c.ratio_cutoff c.seed
+    (match c.sources with
+    | None -> "all"
+    | Some l -> String.concat "," (List.map string_of_int l))
+    (String.concat "; "
+       (List.map
+          (fun (t, v, h) ->
+            Printf.sprintf "%g:%d->%s" t v
+              (match h with None -> "-" | Some h -> string_of_int h))
+          c.changes))
+
+(* Change instants and window ends on one coarse grid, so instants carry
+   several changes and windows start or end exactly on one; next hops
+   are uniform over the nodes, so 2-cycles, longer loops and self-loops
+   are common. *)
+let gen_case =
+  QCheck.Gen.(
+    int_range 2 8 >>= fun n ->
+    let node = int_bound (n - 1)
+    and instant = map (fun k -> float_of_int k *. 0.1) (int_bound 20) in
+    list_size (int_range 0 30) (triple instant node (opt ~ratio:0.8 node))
+    >>= fun raw ->
+    node >>= fun origin ->
+    int_range 1 20 >>= fun ttl ->
+    oneofl [ 0.002; 0.01; 0.025; 0.05 ] >>= fun link_delay ->
+    oneofl [ 5.; 10.; 20.; 40. ] >>= fun rate ->
+    pair instant instant >>= fun (a, b) ->
+    let t0 = Float.min a b and t1 = Float.max a b in
+    float_range t0 t1 >>= fun ratio_cutoff ->
+    int_bound 10_000 >>= fun seed ->
+    frequency
+      [
+        (3, return None);
+        (1, map Option.some (list_size (int_range 0 4) (int_range (-1) n)));
+      ]
+    >>= fun sources ->
+    let changes =
+      List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) raw
+    in
+    return
+      {
+        n;
+        changes;
+        origin;
+        ttl;
+        link_delay;
+        rate;
+        window = (t0, t1);
+        ratio_cutoff;
+        seed;
+        sources;
+      })
+
+let prop_plane_matches_reference =
+  QCheck.Test.make ~name:"compiled replay = binary-search reference"
+    ~count:500
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let fib = fib_with ~n:c.n c.changes in
+      let {
+        origin; n; link_delay; ttl; rate; window; ratio_cutoff; seed; sources;
+        changes = _;
+      } =
+        c
+      in
+      let reference =
+        outcome (fun () ->
+            ref_streams ~fib ~origin ~n ~link_delay ~ttl ~rate ~window ~seed
+              ?sources ())
+      in
+      let same_result =
+        outcome (fun () ->
+            result_bits
+              (Traffic.Replay.run ~fib ~origin ~n ~link_delay ~ttl ~rate ~window
+                 ~seed ~ratio_cutoff ?sources ()))
+        = Result.map
+            (fun st -> result_bits (ref_result st ~ratio_cutoff))
+            reference
+      in
+      let same_per_source =
+        outcome (fun () ->
+            Traffic.Per_source.run ~fib ~origin ~n ~link_delay ~ttl ~rate
+              ~window ~seed ?sources ())
+        = Result.map ref_per_source reference
+      in
+      (* single packets from every node, sent on and around every
+         instant, through one plane whose cursors carry over *)
+      let plane = Traffic.Forwarder.compile fib in
+      let same_fates =
+        List.for_all
+          (fun (t, _, _) ->
+            List.for_all
+              (fun send_time ->
+                List.for_all
+                  (fun src ->
+                    let go walk =
+                      outcome (fun () ->
+                          fate_bits
+                            (walk ~origin ~link_delay ~ttl ~src ~send_time))
+                    in
+                    go (Traffic.Forwarder.walk plane) = go (ref_walk fib))
+                  (List.init n Fun.id))
+              [ Float.pred t; t; Float.succ t; t -. link_delay ])
+          ((fst window, 0, None) :: c.changes)
+      in
+      same_result && same_per_source && same_fates)
+
+(* A 1 <-> 2 loop repaired when node 2 repoints to the origin at
+   [repair], with one source (node 1) sending 16-hop packets from
+   [t0 = 1] every 0.1 s.  Packet 0 walks inside the loop's epoch and is
+   remembered; packet 1 starts in the same epoch, and its last lookup,
+   at node 2, is at [last1]. *)
+let loop_repaired_at repair =
+  fib_with ~n:3 [ (0., 1, Some 2); (0., 2, Some 1); (repair, 2, Some 0) ]
+
+let reuse_boundary_setup () =
+  let seed = 3 and rate = 10. and link_delay = 0.002 and ttl = 16 in
+  let phase = Dessim.Rng.float (Dessim.Rng.create ~seed) (1. /. rate) in
+  let send1 = 1. +. phase +. (1. /. rate) in
+  let last1 = ref send1 in
+  for _ = 2 to ttl do
+    last1 := !last1 +. link_delay
+  done;
+  (* the ratio cutoff falls exactly on packet 1's send time *)
+  let run fib =
+    Traffic.Replay.run ~fib ~origin:0 ~n:3 ~link_delay ~ttl ~rate
+      ~window:(1., 1.3) ~seed ~ratio_cutoff:send1 ~sources:[ 1 ] ()
+  in
+  let reference fib =
+    ref_result ~ratio_cutoff:send1
+      (ref_streams ~fib ~origin:0 ~n:3 ~link_delay ~ttl ~rate ~window:(1., 1.3)
+         ~seed ~sources:[ 1 ] ())
+  in
+  (!last1, run, reference)
+
+let test_reuse_repair_at_last_lookup () =
+  let last1, run, reference = reuse_boundary_setup () in
+  let fib = loop_repaired_at last1 in
+  let r = run fib in
+  (* packet 1's last lookup sees the repair: delivered on its 16th hop *)
+  Alcotest.(check int) "three packets" 3 r.sent;
+  Alcotest.(check int) "only packet 0 before the cutoff" 1 r.sent_for_ratio;
+  Alcotest.(check int) "only packet 0 exhausted" 1 r.exhausted;
+  Alcotest.(check bool) "equals the reference" true
+    (result_bits r = result_bits (reference fib))
+
+let test_reuse_repair_after_last_lookup () =
+  let last1, run, reference = reuse_boundary_setup () in
+  let fib = loop_repaired_at (Float.succ last1) in
+  let r = run fib in
+  (* the repair comes one ulp too late: packet 1 takes packet 0's fate *)
+  Alcotest.(check int) "packets 0 and 1 exhausted" 2 r.exhausted;
+  Alcotest.(check bool) "equals the reference" true
+    (result_bits r = result_bits (reference fib))
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -321,5 +617,14 @@ let () =
           tc "totals match aggregate replay" test_per_source_totals_match_replay;
           tc "identifies affected sources" test_per_source_identifies_affected;
           tc "paper footnote 4 on b-clique" test_per_source_footnote4_b_clique;
+          tc "validation" test_per_source_validation;
+        ] );
+      ( "differential",
+        [
+          QCheck_alcotest.to_alcotest prop_plane_matches_reference;
+          tc "repair at a reused packet's last lookup"
+            test_reuse_repair_at_last_lookup;
+          tc "repair just after a reused packet's last lookup"
+            test_reuse_repair_after_last_lookup;
         ] );
     ]
