@@ -1096,156 +1096,6 @@ let mesh_group ~smoke () =
       acc + o.events_executed)
     0 cells
 
-(* --- space-partitioned executor on the mesh workload (DESIGN.md §17) ---
-
-   One seed of the full-mesh churn workload, first on the classic
-   single engine, then on k ∈ {2,4} space partitions via the
-   conservative executor.  The group is a correctness gate first —
-   identical events, convergence, message counts and loop totals at
-   every k, the partitioned≡sequential wall at bench scale — and a
-   perf record second: the JSON "partition" object keeps the honest
-   wall-clock ratio, which today sits below 1.0 (the global-commit
-   order serializes execution and adds the horizon bookkeeping; the
-   record exists so future relaxations have a baseline to beat). *)
-
-let partition_ks = [ 2; 4 ]
-
-type partition_run = { parts : int; wall_s : float; ratio : float }
-
-(* (sequential wall, events, per-k runs) for the JSON record *)
-let partition_record : (float * int * partition_run list) option ref =
-  ref None
-
-let partition_group ~smoke () =
-  let n = if smoke then 20 else 110 in
-  let graph = Topo.Internet.generate ~seed:1 n in
-  let victim = List.hd (Topo.Graph.min_degree_nodes graph) in
-  let flappers =
-    List.filter (fun i -> i <> victim) (List.init n Fun.id)
-    |> List.filteri (fun i _ -> i < if smoke then 4 else 30)
-  in
-  let churn =
-    {
-      Bgp.Mesh_sim.period = 60.;
-      cycles = (if smoke then 2 else 20);
-      flappers;
-    }
-  in
-  say
-    "=== Partition: full-mesh churn on internet-%d, sequential vs k in {%s} \
-     ===@."
-    n
-    (String.concat "," (List.map string_of_int partition_ks));
-  let loop_totals (o : Bgp.Mesh_sim.outcome) =
-    let until = o.victim_convergence_end in
-    List.fold_left
-      (fun (c, s) (_, r) ->
-        let a = Loopscan.Scanner.aggregate r ~until in
-        (c + a.count, s +. a.total_loop_seconds))
-      (0, 0.) o.loop_reports
-  in
-  let time partitions =
-    let t0 = Unix.gettimeofday () in
-    let o = Bgp.Mesh_sim.run ~churn ?partitions ~graph ~victim ~seed:1 () in
-    (o, Unix.gettimeofday () -. t0)
-  in
-  let seq_o, seq_wall = time None in
-  let runs =
-    List.map
-      (fun k ->
-        let part = Partition.compute ~seed:1 ~graph ~k in
-        let o, wall = time (Some (Partition.assignment part)) in
-        (k, part, o, wall))
-      partition_ks
-  in
-  let row label (o : Bgp.Mesh_sim.outcome) wall =
-    let loops, loop_s = loop_totals o in
-    [
-      label;
-      string_of_int o.events_executed;
-      Printf.sprintf "%.3f" wall;
-      (if wall > 0. then
-         Printf.sprintf "%.0f" (float_of_int o.events_executed /. wall)
-       else "-");
-      Printf.sprintf "%.2f" (if wall > 0. then seq_wall /. wall else 0.);
-      Report.float_cell (Bgp.Mesh_sim.convergence_time o);
-      (if o.converged then "yes" else "NO");
-      string_of_int loops;
-      Printf.sprintf "%.1f" loop_s;
-    ]
-  in
-  print_string
-    (Report.table
-       ~title:
-         (Printf.sprintf "partitioned vs sequential mesh churn (internet-%d)" n)
-       ~header:
-         [
-           "executor"; "events"; "wall(s)"; "ev/s"; "speedup"; "conv(s)";
-           "conv?"; "loops"; "loop-s";
-         ]
-       ~rows:
-         (row "sequential" seq_o seq_wall
-         :: List.map
-              (fun (k, part, o, wall) ->
-                row
-                  (Printf.sprintf "k=%d (cut %d)" k
-                     (List.length (Partition.cut part)))
-                  o wall)
-              runs));
-  say "";
-  (* the correctness gate: every partitioned run must reproduce the
-     sequential outcome exactly *)
-  let mismatches =
-    List.concat_map
-      (fun (k, _, (o : Bgp.Mesh_sim.outcome), _) ->
-        let expect name got want =
-          if got = want then []
-          else [ Printf.sprintf "k=%d %s: %s <> %s" k name got want ]
-        in
-        expect "events"
-          (string_of_int o.events_executed)
-          (string_of_int seq_o.events_executed)
-        @ expect "convergence"
-            (Printf.sprintf "%.9g" (Bgp.Mesh_sim.convergence_time o))
-            (Printf.sprintf "%.9g" (Bgp.Mesh_sim.convergence_time seq_o))
-        @ expect "converged"
-            (string_of_bool o.converged)
-            (string_of_bool seq_o.converged)
-        @ expect "victim-msg"
-            (string_of_int o.victim_messages)
-            (string_of_int seq_o.victim_messages)
-        @ expect "bg-msg"
-            (string_of_int o.background_messages)
-            (string_of_int seq_o.background_messages)
-        @
-        let lc, ls = loop_totals o and sc, ss = loop_totals seq_o in
-        expect "loops" (string_of_int lc) (string_of_int sc)
-        @ expect "loop-s" (Printf.sprintf "%.9g" ls) (Printf.sprintf "%.9g" ss))
-      runs
-  in
-  (match mismatches with
-  | [] -> ()
-  | ms ->
-      List.iter (fun m -> say "PARTITION MISMATCH: %s" m) ms;
-      exit 1);
-  partition_record :=
-    Some
-      ( seq_wall,
-        seq_o.events_executed,
-        List.map
-          (fun (k, _, _, wall) ->
-            {
-              parts = k;
-              wall_s = wall;
-              ratio = (if wall > 0. then seq_wall /. wall else 0.);
-            })
-          runs );
-  seq_o.events_executed
-  + List.fold_left
-      (fun acc (_, _, (o : Bgp.Mesh_sim.outcome), _) ->
-        acc + o.events_executed)
-      0 runs
-
 (* --- observability counter registries (DESIGN.md §10) --- *)
 
 let counters_group ~pool =
@@ -1468,9 +1318,6 @@ let groups =
     ("churn-smoke", (warm_single, fun ~pool:_ -> churn_group ~smoke:true ~digest:false ()));
     ("mesh", (warm_mesh, fun ~pool:_ -> mesh_group ~smoke:false ()));
     ("mesh-smoke", (warm_mesh, fun ~pool:_ -> mesh_group ~smoke:true ()));
-    ("partition", (warm_mesh, fun ~pool:_ -> partition_group ~smoke:false ()));
-    ( "partition-smoke",
-      (warm_mesh, fun ~pool:_ -> partition_group ~smoke:true ()) );
     ("micro", (warm_single, fun ~pool:_ -> micro (); 0));
   ]
 
@@ -1505,7 +1352,7 @@ let json_escape s =
 let write_json ~path ~jobs reports =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"bgpsim-bench/3\",\n";
+  Buffer.add_string buf "  \"schema\": \"bgpsim-bench/4\",\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"revision\": \"%s\",\n" (json_escape (git_revision ())));
   Buffer.add_string buf
@@ -1535,28 +1382,11 @@ let write_json ~path ~jobs reports =
       Buffer.add_string buf
         (Printf.sprintf
            "  \"speedup\": {\"seq_wall_s\": %.3f, \"par_wall_s\": %.3f, \
-            \"ratio\": %.3f, \"jobs\": %d},\n"
+            \"ratio\": %.3f, \"jobs\": %d}\n"
            seq_s par_s
            (if par_s > 0. then seq_s /. par_s else 0.)
            jobs)
-  | None -> Buffer.add_string buf "  \"speedup\": null,\n");
-  (* space-partitioned executor timings (schema 3; ratio = seq/partitioned
-     wall — honest, expected below 1.0 today, see DESIGN.md §17) *)
-  (match !partition_record with
-  | Some (seq_wall_s, events, runs) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  \"partition\": {\"seq_wall_s\": %.3f, \"events\": %d, \
-            \"runs\": [%s]}\n"
-           seq_wall_s events
-           (String.concat ", "
-              (List.map
-                 (fun r ->
-                   Printf.sprintf
-                     "{\"partitions\": %d, \"wall_s\": %.3f, \"ratio\": %.3f}"
-                     r.parts r.wall_s r.ratio)
-                 runs)))
-  | None -> Buffer.add_string buf "  \"partition\": null\n");
+  | None -> Buffer.add_string buf "  \"speedup\": null\n");
   Buffer.add_string buf "}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents buf);

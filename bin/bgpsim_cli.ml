@@ -270,18 +270,6 @@ let profile_flag =
           "Profile the event engine: per-event-tag wall-clock totals and \
            histograms, merged across all seeds/workers.")
 
-let partitions_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "partitions" ] ~docv:"K"
-        ~doc:
-          "Run each simulation on $(docv) space partitions (one \
-           conservatively-synchronized engine per partition; see DESIGN.md \
-           §17).  Metrics, traces and digests are byte-identical to the \
-           default single-engine run — this knob changes execution \
-           machinery, not results.")
-
 let mesh_flag =
   Arg.(
     value & flag
@@ -310,14 +298,6 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
           | Some _ | None -> Obs.Sink.null
         in
         let obs = Obs.Bus.create ~sink () in
-        let partitions =
-          match spec.partitions with
-          | None -> None
-          | Some k ->
-              Some
-                (Bgpsim.Partition.assignment
-                   (Bgpsim.Partition.compute ~seed:sd ~graph ~k))
-        in
         let t0 = Unix.gettimeofday () in
         let o =
           Fun.protect
@@ -325,7 +305,7 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
             (fun () ->
               Bgp.Mesh_sim.run ~config ~max_events:spec.max_events
                 ?max_vtime:spec.max_vtime ~invariants:spec.invariants ~obs
-                ?partitions ~graph ~victim ~seed:sd ())
+                ~graph ~victim ~seed:sd ())
         in
         let wall = Unix.gettimeofday () -. t0 in
         let until = o.victim_convergence_end in
@@ -375,14 +355,10 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
 let run_cmd =
   let action topology event scenario invariants max_events max_vtime preflight
       enhancement mrai seed seeds jobs trace_file trace_format counters profile
-      mesh partitions =
+      mesh =
     let spec =
-      {
-        (spec_of ?scenario ~invariants ~max_events ?max_vtime ~preflight
-           topology event enhancement mrai seed)
-        with
-        partitions;
-      }
+      spec_of ?scenario ~invariants ~max_events ?max_vtime ~preflight topology
+        event enhancement mrai seed
     in
     let seedl = seed_list ~seed ~seeds in
     Format.printf "%s  event=%s  enhancement=%a  mrai=%gs  seeds=%d@."
@@ -460,8 +436,7 @@ let run_cmd =
       const action $ topology_arg $ event_arg $ scenario_arg $ invariants_arg
       $ max_events_arg $ max_vtime_arg $ preflight_arg $ enhancement_arg
       $ mrai_arg $ seed_arg $ seeds_arg $ jobs_arg $ trace_file_arg
-      $ trace_format_arg $ counters_flag $ profile_flag $ mesh_flag
-      $ partitions_arg)
+      $ trace_format_arg $ counters_flag $ profile_flag $ mesh_flag)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate one failure scenario and print its metrics")
@@ -618,22 +593,9 @@ let golden_cmd =
             "Instead of printing, compare the recomputed digests against the \
              committed fixture file and exit nonzero on any mismatch.")
   in
-  let partitions_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "partitions" ] ~docv:"K"
-          ~doc:
-            "Recompute every digest on $(docv) space partitions \
-             (conservative parallel executor).  The digests must come out \
-             identical to the sequential ones — the committed fixture file \
-             never forks per partition count, so '--check --partitions 2' \
-             is the partitioned-determinism smoke test.")
-  in
-  let action check partitions =
+  let action check =
     match check with
-    | None ->
-        List.iter print_endline (Bgpsim.Golden.digest_lines ?partitions ())
+    | None -> List.iter print_endline (Bgpsim.Golden.digest_lines ())
     | Some path ->
         let ic = open_in path in
         let len = in_channel_length ic in
@@ -654,12 +616,12 @@ let golden_cmd =
         in
         List.iter
           (fun (f : Bgpsim.Golden.fixture) ->
-            check f.name (Bgpsim.Golden.digest ?partitions f))
+            check f.name (Bgpsim.Golden.digest f))
           Bgpsim.Golden.fixtures;
-        check Bgpsim.Golden.mesh_name (Bgpsim.Golden.mesh_digest ?partitions ());
+        check Bgpsim.Golden.mesh_name (Bgpsim.Golden.mesh_digest ());
         if !bad > 0 then exit 1
   in
-  let term = Term.(const action $ check_arg $ partitions_arg) in
+  let term = Term.(const action $ check_arg) in
   Cmd.v
     (Cmd.info "golden"
        ~doc:
@@ -1204,9 +1166,13 @@ let churn_cmd =
     let sink = Option.map (fun p -> trace_sink p trace_format) trace_file in
     let r =
       try Churn.Driver.run ~watchdog ~on_epoch ?resume_from ?sink cfg
-      with Churn.Checkpoint.Incompatible_version _ as e ->
-        Printf.eprintf "churn: %s\n" (Printexc.to_string e);
-        exit 6
+      with
+      | Churn.Checkpoint.Incompatible_version _ as e ->
+          Printf.eprintf "churn: %s\n" (Printexc.to_string e);
+          exit 6
+      | Churn.Checkpoint.Corrupt _ as e ->
+          Printf.eprintf "churn: %s\n" (Printexc.to_string e);
+          exit 7
     in
     let t = r.loop_totals in
     Printf.printf "status %s\n" (Churn.Driver.status_name r.status);

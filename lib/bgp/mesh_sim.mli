@@ -63,7 +63,6 @@ val run :
   ?max_vtime:float ->
   ?invariants:Faults.Invariant.mode ->
   ?obs:Obs.Bus.t ->
-  ?partitions:int array ->
   graph:Topo.Graph.t ->
   victim:int ->
   seed:int ->
@@ -73,8 +72,6 @@ val run :
     (default: every node), converges, then withdraws the prefix of
     [origins[victim]].  With [churn], the listed origins flap for the
     configured number of cycles starting at the failure time.
-    [partitions] runs the simulation on the space-partitioned executor
-    with byte-identical outcomes (see {!Routing_sim.run}).
     @raise Invalid_argument on an empty or out-of-range
     [origins]/[victim], duplicate origins, a flapper index equal to
     [victim], a disconnected graph, or non-positive budgets. *)

@@ -22,8 +22,8 @@ let link_key a b = if a < b then (a, b) else (b, a)
 
 let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
     ?(max_events = 40_000_000) ?max_vtime
-    ?(invariants = Faults.Invariant.Off) ?(obs = Obs.Bus.off) ?partitions
-    ~graph ~origins ~victim ~seed () =
+    ?(invariants = Faults.Invariant.Off) ?(obs = Obs.Bus.off) ~graph ~origins
+    ~victim ~seed () =
   Netcore.Params.validate params;
   Config.validate config;
   let n = Topo.Graph.n_nodes graph in
@@ -56,21 +56,15 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
   | Some t when t <= 0. || Float.is_nan t ->
       invalid_arg "Multi_sim.run: max_vtime must be positive"
   | Some _ | None -> ());
-  let fabric =
-    Netcore.Fabric.create ?partitions ~n
-      ~edges:(Topo.Graph.edges graph)
-      ~link_delay:params.link_delay ()
-  in
-  let engine_of v = Netcore.Fabric.engine_of fabric v in
+  let engine = Dessim.Engine.create () in
   let checker = Faults.Invariant.create invariants in
   if Faults.Invariant.enabled checker then
-    Netcore.Fabric.iter_engines fabric (fun e ->
-        Dessim.Engine.set_clock_monitor e (fun ~old_time ~new_time ->
-            if new_time < old_time then
-              Faults.Invariant.report checker Faults.Invariant.Clock_regression
-                ~detail:(fun () ->
-                  Printf.sprintf "event at %g fired with clock at %g" new_time
-                    old_time)));
+    Dessim.Engine.set_clock_monitor engine (fun ~old_time ~new_time ->
+        if new_time < old_time then
+          Faults.Invariant.report checker Faults.Invariant.Clock_regression
+            ~detail:(fun () ->
+              Printf.sprintf "event at %g fired with clock at %g" new_time
+                old_time));
   let trace = Netcore.Trace.create ~n in
   let root_rng = Dessim.Rng.create ~seed in
   let proc_rng = Dessim.Rng.split root_rng ~label:"proc" in
@@ -81,7 +75,6 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
       if Faults.Invariant.enabled checker then
         Netcore.Link.attach_checker link checker;
       if Obs.Bus.enabled obs then Netcore.Link.attach_obs link obs;
-      Netcore.Fabric.attach_link fabric link;
       Hashtbl.add links (link_key a b) link)
     (Topo.Graph.edges graph);
   let node_procs =
@@ -120,7 +113,7 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
       | Some l -> l
       | None -> invalid_arg "Multi_sim: emit to non-neighbor"
     in
-    let now = Dessim.Engine.now (engine_of src) in
+    let now = Dessim.Engine.now engine in
     let withdraw =
       match (msg : Msg.t) with Withdraw _ -> true | Announce _ -> false
     in
@@ -133,31 +126,28 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
       end
       else incr background_msgs;
     let deliver () =
-      (* runs on the peer's engine — the link transport routed it there *)
-      Netcore.Node_proc.submit node_procs.(peer) ~engine:(engine_of peer)
+      Netcore.Node_proc.submit node_procs.(peer) ~engine
         ~delay:(draw_proc_delay ()) ~work:(fun () ->
           Netcore.Trace.log_process trace
-            ~time:(Dessim.Engine.now (engine_of peer))
+            ~time:(Dessim.Engine.now engine)
             ~node:peer ~from:src ~kind:(Msg.kind msg);
           Obs.Bus.update_recv obs
-            ~time:(Dessim.Engine.now (engine_of peer))
+            ~time:(Dessim.Engine.now engine)
             ~node:peer ~from:src ~withdraw;
           Speaker.handle_msg (speaker peer) ~from:src msg)
     in
-    ignore
-      (Netcore.Link.send link ~engine:(engine_of src) ~from:src ~deliver : bool)
+    ignore (Netcore.Link.send link ~engine ~from:src ~deliver : bool)
   in
   let on_next_hop_change_for node ~prefix ~next_hop =
     Netcore.Fib_history.record (fib_of prefix)
-      ~time:(Dessim.Engine.now (engine_of node))
+      ~time:(Dessim.Engine.now engine)
       ~node ~next_hop
   in
   for i = 0 to n - 1 do
     let rng = Dessim.Rng.split root_rng ~label:("speaker-" ^ string_of_int i) in
     speakers.(i) <-
       Some
-        (Speaker.create ~checker ~obs ~paths ~engine:(engine_of i) ~config
-           ~rng ~node:i
+        (Speaker.create ~checker ~obs ~paths ~engine ~config ~rng ~node:i
            ~peers:(Topo.Graph.neighbors graph i)
            ~emit:(emit_from i)
            ~on_next_hop_change:(on_next_hop_change_for i)
@@ -166,18 +156,22 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
   (* warm-up: all prefixes originate *)
   List.iter2
     (fun origin prefix ->
-      Netcore.Fabric.schedule_control ~tag:"originate" fabric ~node:origin
-        ~at:0. (fun () -> Speaker.originate (speaker origin) prefix))
+      let (_ : Dessim.Engine.handle) =
+        Dessim.Engine.schedule ~tag:"originate" engine ~at:0. (fun () ->
+            Speaker.originate (speaker origin) prefix)
+      in
+      ())
     origins prefix_list;
-  Netcore.Fabric.run ?until:max_vtime ~max_events fabric;
-  let warmup_drained = Netcore.Fabric.events_executed fabric < max_events in
-  let t_fail = Netcore.Fabric.now fabric +. failure_gap in
+  Dessim.Engine.run ?until:max_vtime ~max_events engine;
+  let warmup_drained = Dessim.Engine.events_executed engine < max_events in
+  let t_fail = Dessim.Engine.now engine +. failure_gap in
   t_fail_ref := t_fail;
   (* the victim's T_down *)
   let victim_origin = List.nth origins victim in
-  Netcore.Fabric.schedule_control ~tag:"inject" fabric ~node:victim_origin
-    ~at:t_fail (fun () ->
-      Speaker.withdraw_local (speaker victim_origin) victim_prefix);
+  let (_ : Dessim.Engine.handle) =
+    Dessim.Engine.schedule ~tag:"inject" engine ~at:t_fail (fun () ->
+        Speaker.withdraw_local (speaker victim_origin) victim_prefix)
+  in
   (* background churn *)
   (match churn with
   | None -> ()
@@ -188,25 +182,29 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
           let prefix = List.nth prefix_list flapper in
           for k = 0 to c.cycles - 1 do
             let base = t_fail +. (float_of_int k *. c.period) in
-            Netcore.Fabric.schedule_control ~tag:"inject" fabric ~node:origin
-              ~at:base (fun () ->
-                Speaker.withdraw_local (speaker origin) prefix);
-            Netcore.Fabric.schedule_control ~tag:"inject" fabric ~node:origin
-              ~at:(base +. (c.period /. 2.))
-              (fun () -> Speaker.originate (speaker origin) prefix)
+            let (_ : Dessim.Engine.handle) =
+              Dessim.Engine.schedule ~tag:"inject" engine ~at:base (fun () ->
+                  Speaker.withdraw_local (speaker origin) prefix)
+            in
+            let (_ : Dessim.Engine.handle) =
+              Dessim.Engine.schedule ~tag:"inject" engine
+                ~at:(base +. (c.period /. 2.))
+                (fun () -> Speaker.originate (speaker origin) prefix)
+            in
+            ()
           done)
         c.flappers);
-  Netcore.Fabric.run ?until:max_vtime ~max_events fabric;
+  Dessim.Engine.run ?until:max_vtime ~max_events engine;
   (match Obs.Bus.counters obs with
   | Some c ->
-      Obs.Counters.add_events c (Netcore.Fabric.events_executed fabric);
+      Obs.Counters.add_events c (Dessim.Engine.events_executed engine);
       Obs.Counters.observe_paths_interned c ~count:(As_path.Table.size paths)
   | None -> ());
   let termination =
-    if Netcore.Fabric.events_executed fabric >= max_events then
+    if Dessim.Engine.events_executed engine >= max_events then
       Routing_sim.Event_budget
     else
-      match Netcore.Fabric.next_live_time fabric with
+      match Dessim.Engine.next_live_time engine with
       | Some _ -> Routing_sim.Vtime_budget
       | None -> Routing_sim.Drained
   in

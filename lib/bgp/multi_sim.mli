@@ -52,7 +52,6 @@ val run :
   ?max_vtime:float ->
   ?invariants:Faults.Invariant.mode ->
   ?obs:Obs.Bus.t ->
-  ?partitions:int array ->
   graph:Topo.Graph.t ->
   origins:int list ->
   victim:int ->
@@ -61,8 +60,6 @@ val run :
   outcome
 (** [run ~graph ~origins ~victim ~seed ()] originates one prefix per
     origin, converges, then withdraws the prefix of [origins[victim]].
-    [partitions] runs the simulation on the space-partitioned executor
-    with byte-identical outcomes (see {!Routing_sim.run}).
     With [churn], the listed origins flap for the configured number of
     cycles starting at the failure time.  [obs] (default {!Obs.Bus.off})
     receives message, node-occupancy and drop events plus counters; FIB

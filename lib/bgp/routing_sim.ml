@@ -41,8 +41,7 @@ let link_key a b = if a < b then (a, b) else (b, a)
 
 let run ?(params = Netcore.Params.default) ?(config = Config.default)
     ?(max_events = 20_000_000) ?max_vtime ?(invariants = Faults.Invariant.Off)
-    ?(obs = Obs.Bus.off) ?profile ?watchdog ?partitions ~graph ~origin ~event
-    ~seed () =
+    ?(obs = Obs.Bus.off) ?profile ?watchdog ~graph ~origin ~event ~seed () =
   Netcore.Params.validate params;
   Config.validate config;
   let n = Topo.Graph.n_nodes graph in
@@ -68,30 +67,18 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
   | Some t when t <= 0. || Float.is_nan t ->
       invalid_arg "Routing_sim.run: max_vtime must be positive"
   | Some _ | None -> ());
-  (* The fabric owns the engine(s): one on the classic sequential path,
-     one per space partition otherwise, with cross-partition links
-     routed through conservative channels.  Every clock read below is
-     anchored on the node doing the reading via [engine_of]. *)
-  let fabric =
-    Netcore.Fabric.create ?partitions ~n
-      ~edges:(Topo.Graph.edges graph)
-      ~link_delay:params.link_delay ()
-  in
-  let engine_of v = Netcore.Fabric.engine_of fabric v in
+  let engine = Dessim.Engine.create () in
   (match profile with
-  | Some p ->
-      Netcore.Fabric.iter_engines fabric (fun e ->
-          Dessim.Engine.set_step_profiler e (Obs.Profile.step p))
+  | Some p -> Dessim.Engine.set_step_profiler engine (Obs.Profile.step p)
   | None -> ());
   let checker = Faults.Invariant.create invariants in
   if Faults.Invariant.enabled checker then
-    Netcore.Fabric.iter_engines fabric (fun e ->
-        Dessim.Engine.set_clock_monitor e (fun ~old_time ~new_time ->
-            if new_time < old_time then
-              Faults.Invariant.report checker Faults.Invariant.Clock_regression
-                ~detail:(fun () ->
-                  Printf.sprintf "event at %g fired with clock at %g" new_time
-                    old_time)));
+    Dessim.Engine.set_clock_monitor engine (fun ~old_time ~new_time ->
+        if new_time < old_time then
+          Faults.Invariant.report checker Faults.Invariant.Clock_regression
+            ~detail:(fun () ->
+              Printf.sprintf "event at %g fired with clock at %g" new_time
+                old_time));
   let trace = Netcore.Trace.create ~n in
   let root_rng = Dessim.Rng.create ~seed in
   let proc_rng = Dessim.Rng.split root_rng ~label:"proc" in
@@ -102,7 +89,6 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
       if Faults.Invariant.enabled checker then
         Netcore.Link.attach_checker link checker;
       if Obs.Bus.enabled obs then Netcore.Link.attach_obs link obs;
-      Netcore.Fabric.attach_link fabric link;
       Hashtbl.add links (link_key a b) link)
     (Topo.Graph.edges graph);
   let link_of a b =
@@ -133,26 +119,25 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
       match (msg : Msg.t) with Withdraw _ -> true | Announce _ -> false
     in
     Netcore.Trace.log_send trace
-      ~time:(Dessim.Engine.now (engine_of src))
+      ~time:(Dessim.Engine.now engine)
       ~src ~dst:peer ~kind:(Msg.kind msg);
     Obs.Bus.update_sent obs
-      ~time:(Dessim.Engine.now (engine_of src))
+      ~time:(Dessim.Engine.now engine)
       ~src ~dst:peer ~withdraw;
     let deliver () =
-      (* runs on the peer's engine — the link transport routed it there *)
-      Netcore.Node_proc.submit node_procs.(peer) ~engine:(engine_of peer)
+      Netcore.Node_proc.submit node_procs.(peer) ~engine
         ~delay:(draw_proc_delay ()) ~work:(fun () ->
           Netcore.Trace.log_process trace
-            ~time:(Dessim.Engine.now (engine_of peer))
+            ~time:(Dessim.Engine.now engine)
             ~node:peer ~from:src ~kind:(Msg.kind msg);
           Obs.Bus.update_recv obs
-            ~time:(Dessim.Engine.now (engine_of peer))
+            ~time:(Dessim.Engine.now engine)
             ~node:peer ~from:src ~withdraw;
           Speaker.handle_msg (speaker peer) ~from:src msg)
     in
     (* A send onto a dead link is dropped silently, like packets into a
        torn-down TCP session. *)
-    ignore (Netcore.Link.send link ~engine:(engine_of src) ~from:src ~deliver : bool)
+    ignore (Netcore.Link.send link ~engine ~from:src ~deliver : bool)
   in
   let prefix = Prefix.make ~origin () in
   if Obs.Bus.enabled obs then
@@ -162,15 +147,14 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
   let on_next_hop_change_for node ~prefix:p ~next_hop =
     assert (Prefix.equal p prefix);
     Netcore.Fib_history.record (Netcore.Trace.fib trace)
-      ~time:(Dessim.Engine.now (engine_of node))
+      ~time:(Dessim.Engine.now engine)
       ~node ~next_hop
   in
   for i = 0 to n - 1 do
     let rng = Dessim.Rng.split root_rng ~label:("speaker-" ^ string_of_int i) in
     speakers.(i) <-
       Some
-        (Speaker.create ~checker ~obs ~paths ~engine:(engine_of i) ~config ~rng
-           ~node:i
+        (Speaker.create ~checker ~obs ~paths ~engine ~config ~rng ~node:i
            ~peers:(Topo.Graph.neighbors graph i)
            ~emit:(emit_from i)
            ~on_next_hop_change:(on_next_hop_change_for i)
@@ -183,11 +167,9 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
     if Netcore.Link.is_up link then begin
       Netcore.Link.fail link;
       Netcore.Trace.log_link_event trace
-        ~time:(Dessim.Engine.now (engine_of a))
+        ~time:(Dessim.Engine.now engine)
         ~a ~b ~up:false;
-      Obs.Bus.link_state obs
-        ~time:(Dessim.Engine.now (engine_of a))
-        ~a ~b ~up:false;
+      Obs.Bus.link_state obs ~time:(Dessim.Engine.now engine) ~a ~b ~up:false;
       Speaker.session_down (speaker a) ~peer:b;
       Speaker.session_down (speaker b) ~peer:a
     end
@@ -197,11 +179,9 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
     if not (Netcore.Link.is_up link) then begin
       Netcore.Link.restore link;
       Netcore.Trace.log_link_event trace
-        ~time:(Dessim.Engine.now (engine_of a))
+        ~time:(Dessim.Engine.now engine)
         ~a ~b ~up:true;
-      Obs.Bus.link_state obs
-        ~time:(Dessim.Engine.now (engine_of a))
-        ~a ~b ~up:true;
+      Obs.Bus.link_state obs ~time:(Dessim.Engine.now engine) ~a ~b ~up:true;
       Speaker.session_up (speaker a) ~peer:b;
       Speaker.session_up (speaker b) ~peer:a
     end
@@ -257,7 +237,7 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
   let wall_cut = ref false in
   let run_engine () =
     match watchdog with
-    | None -> Netcore.Fabric.run ?until:max_vtime ~max_events fabric
+    | None -> Dessim.Engine.run ?until:max_vtime ~max_events engine
     | Some wd ->
         let chunk = 65_536 in
         let continue_ = ref true in
@@ -269,12 +249,12 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
           else begin
             let budget =
               Stdlib.min max_events
-                (Netcore.Fabric.events_executed fabric + chunk)
+                (Dessim.Engine.events_executed engine + chunk)
             in
-            Netcore.Fabric.run ?until:max_vtime ~max_events:budget fabric;
+            Dessim.Engine.run ?until:max_vtime ~max_events:budget engine;
             if
-              Netcore.Fabric.events_executed fabric < budget
-              || Netcore.Fabric.events_executed fabric >= max_events
+              Dessim.Engine.events_executed engine < budget
+              || Dessim.Engine.events_executed engine >= max_events
             then continue_ := false
           end
         done
@@ -291,42 +271,40 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
   (match event with
   | Tup -> ()
   | Tdown | Tlong _ | Trecover _ | Tshort _ | Scenario _ ->
-      Netcore.Fabric.schedule_control ~tag:"originate" fabric ~node:origin
-        ~at:0. (fun () -> Speaker.originate (speaker origin) prefix));
+      let (_ : Dessim.Engine.handle) =
+        Dessim.Engine.schedule ~tag:"originate" engine ~at:0. (fun () ->
+            Speaker.originate (speaker origin) prefix)
+      in
+      ());
   run_engine ();
-  let warmup_end = Netcore.Fabric.now fabric in
-  let warmup_drained = Netcore.Fabric.events_executed fabric < max_events in
-  (* Phase 2: failure injection.  Control actions go through
-     [schedule_control], anchored on the node whose state they touch
-     first: on a partitioned fabric the wrapper broadcasts the
-     injection time to every partition clock before the action runs,
-     because a single action may mutate speakers on both sides of a
-     cut (a recovered link re-announces from both endpoints). *)
+  let warmup_end = Dessim.Engine.now engine in
+  let warmup_drained = Dessim.Engine.events_executed engine < max_events in
+  (* Phase 2: failure injection. *)
   let t_fail = warmup_end +. failure_gap in
-  let schedule_at ~node at f =
-    Netcore.Fabric.schedule_control ~tag:"inject" fabric ~node ~at f
+  let schedule_at at f =
+    let (_ : Dessim.Engine.handle) =
+      Dessim.Engine.schedule ~tag:"inject" engine ~at f
+    in
+    ()
   in
   (match event with
   | Tdown ->
-      schedule_at ~node:origin t_fail (fun () ->
+      schedule_at t_fail (fun () ->
           Speaker.withdraw_local (speaker origin) prefix)
   | Tup ->
-      schedule_at ~node:origin t_fail (fun () ->
-          Speaker.originate (speaker origin) prefix)
-  | Tlong { a; b } -> schedule_at ~node:a t_fail (fun () -> do_link_fail a b)
-  | Trecover { a; b } ->
-      schedule_at ~node:a t_fail (fun () -> do_link_recover a b)
+      schedule_at t_fail (fun () -> Speaker.originate (speaker origin) prefix)
+  | Tlong { a; b } -> schedule_at t_fail (fun () -> do_link_fail a b)
+  | Trecover { a; b } -> schedule_at t_fail (fun () -> do_link_recover a b)
   | Tshort { a; b; down_for } ->
-      schedule_at ~node:a t_fail (fun () ->
+      schedule_at t_fail (fun () ->
           do_link_fail a b;
-          schedule_at ~node:a (t_fail +. down_for) (fun () ->
-              do_link_recover a b))
+          schedule_at (t_fail +. down_for) (fun () -> do_link_recover a b))
   | Scenario scenario ->
       (* chaos knobs arm at the injection instant, so the warm-up is
          always clean *)
       if scenario.msg_loss > 0. || scenario.msg_dup > 0. then begin
         let chaos_rng = Dessim.Rng.split root_rng ~label:"chaos" in
-        schedule_at ~node:origin t_fail (fun () ->
+        schedule_at t_fail (fun () ->
             (* bgpsim-lint: allow D001 — independent per-link set_chaos writes *)
             Hashtbl.iter
               (fun _key link ->
@@ -335,30 +313,22 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
               links)
       end;
       let scenario_rng = Dessim.Rng.split root_rng ~label:"scenario" in
-      let anchor_of = function
-        | Faults.Scenario.Link_fail (a, _)
-        | Faults.Scenario.Link_recover (a, _)
-        | Faults.Scenario.Session_reset (a, _) ->
-            a
-        | Faults.Scenario.Node_crash v | Faults.Scenario.Node_restart v -> v
-      in
       List.iter
         (fun { Faults.Scenario.at; action } ->
-          schedule_at ~node:(anchor_of action) (t_fail +. at) (fun () ->
-              apply_action action))
+          schedule_at (t_fail +. at) (fun () -> apply_action action))
         (Faults.Scenario.compile scenario ~graph ~rng:scenario_rng));
   run_engine ();
   (match Obs.Bus.counters obs with
   | Some c ->
-      Obs.Counters.add_events c (Netcore.Fabric.events_executed fabric);
+      Obs.Counters.add_events c (Dessim.Engine.events_executed engine);
       Obs.Counters.observe_paths_interned c ~count:(As_path.Table.size paths)
   | None -> ());
   let termination =
     if !wall_cut then Wall_budget
-    else if Netcore.Fabric.events_executed fabric >= max_events then
+    else if Dessim.Engine.events_executed engine >= max_events then
       Event_budget
     else
-      match Netcore.Fabric.next_live_time fabric with
+      match Dessim.Engine.next_live_time engine with
       | Some _ -> Vtime_budget
       | None -> Drained
   in
@@ -387,7 +357,7 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
       Netcore.Trace.count_kind_from trace ~from:t_fail ~kind:Netcore.Trace.Announce;
     withdrawals_after_fail =
       Netcore.Trace.count_kind_from trace ~from:t_fail ~kind:Netcore.Trace.Withdraw;
-    events_executed = Netcore.Fabric.events_executed fabric;
+    events_executed = Dessim.Engine.events_executed engine;
     route_changes;
     paths_interned = As_path.Table.size paths;
     invariant_violations = Faults.Invariant.violations checker;

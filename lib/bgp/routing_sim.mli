@@ -87,7 +87,6 @@ val run :
   ?obs:Obs.Bus.t ->
   ?profile:Obs.Profile.t ->
   ?watchdog:Faults.Watchdog.t ->
-  ?partitions:int array ->
   graph:Topo.Graph.t ->
   origin:int ->
   event:event ->
@@ -117,13 +116,6 @@ val run :
     engine runs in chunks and stops with [Wall_budget] at the first
     event boundary past expiry.  Event execution is otherwise
     identical to an unwatched run (same trace, same outcome).
-
-    [partitions] assigns each node to a space partition (see
-    {!Netcore.Fabric} and {!Bgpsim.Partition}); the run then executes
-    on one conservatively-synchronized engine per partition.  The
-    outcome, trace, and digest are byte-identical to the sequential
-    run for any valid assignment — partitioning changes the execution
-    machinery, never the simulation.
     @raise Invalid_argument if [origin] is out of range, the graph is
     not connected, an event link does not exist, or a scenario fails
     validation. *)

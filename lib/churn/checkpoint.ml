@@ -5,10 +5,11 @@
    in flight, so the whole simulation state reduces to plain data —
    speaker snapshots, the FIB mirror, the streaming scanner, the RNG
    streams and the down-link set.  The file is a fixed ASCII header
-   (so a wrong file fails loudly, not with a marshal segfault)
-   followed by one marshalled record, written to a temp file and
-   renamed so a crash mid-write never corrupts the previous
-   checkpoint. *)
+   (so a wrong file fails loudly, not with a marshal segfault), the
+   payload's length (int64 LE) and md5, then the payload: one
+   marshalled record, unmarshalled only once its length and digest
+   check out.  It is written to a temp file and renamed so a crash
+   mid-write never corrupts the previous checkpoint. *)
 
 type t = {
   version : int;
@@ -32,13 +33,16 @@ type t = {
    of JSONL lines, so chains written by v1 checkpoints cannot be
    continued — resuming one must fail structurally, not mid-chain.
    v3: Obs.Binary moved to format 2 (trailing optional prefix-id field
-   on per-prefix frames), changing the frame bytes the chain folds. *)
-let version = 3
+   on per-prefix frames), changing the frame bytes the chain folds.
+   v4: the payload is preceded by its length and md5. *)
+let version = 4
 let header_prefix = "bgpsim-churn-ckpt v"
 let header = Printf.sprintf "%s%d\n" header_prefix version
 
 exception
   Incompatible_version of { path : string; found : int; expected : int }
+
+exception Corrupt of { path : string; reason : string }
 
 let () =
   Printexc.register_printer (function
@@ -48,7 +52,16 @@ let () =
              "%s: incompatible checkpoint version %d (this build reads \
               version %d); re-run without --resume to start a fresh chain"
              path found expected)
+    | Corrupt { path; reason } ->
+        Some
+          (Printf.sprintf
+             "%s: corrupt churn checkpoint (%s); remove it to resume from \
+              an earlier checkpoint, or re-run without --resume"
+             path reason)
     | _ -> None)
+
+(* payload length (int64 LE) + md5 of the payload *)
+let prologue_len = 8 + 16
 
 let file_name epoch = Printf.sprintf "ckpt-%06d.bin" epoch
 
@@ -58,10 +71,15 @@ let write ~dir t =
   if t.version <> version then invalid_arg "Checkpoint.write: bad version";
   let final = path ~dir ~epoch:t.epoch in
   let tmp = final ^ ".tmp" in
+  let payload = Marshal.to_string t [] in
+  let length = Bytes.create 8 in
+  Bytes.set_int64_le length 0 (Int64.of_int (String.length payload));
   let oc = open_out_bin tmp in
   (try
      output_string oc header;
-     Marshal.to_channel oc t [];
+     output_bytes oc length;
+     output_string oc (Digest.string payload);
+     output_string oc payload;
      close_out oc
    with e ->
      close_out_noerr oc;
@@ -92,7 +110,21 @@ let read p =
       | Some v when v <> version ->
           raise (Incompatible_version { path = p; found = v; expected = version })
       | Some _ -> ());
-      let t : t = Marshal.from_channel ic in
+      let corrupt reason = raise (Corrupt { path = p; reason }) in
+      let prologue =
+        try really_input_string ic prologue_len
+        with End_of_file -> corrupt "truncated before the payload"
+      in
+      let len = Int64.to_int (String.get_int64_le prologue 0) in
+      let held = in_channel_length ic - pos_in ic in
+      if len <> held then
+        corrupt
+          (Printf.sprintf "payload is %d bytes, its length field says %d" held
+             len);
+      let payload = really_input_string ic len in
+      if Digest.string payload <> String.sub prologue 8 16 then
+        corrupt "payload md5 mismatch";
+      let t : t = Marshal.from_string payload 0 in
       if t.version <> version then
         raise
           (Incompatible_version

@@ -8,14 +8,17 @@
     uninterrupted run bit-for-bit — the resume-equivalence tests
     compare golden trace digests across a kill/resume.
 
-    On disk: the ASCII header ["bgpsim-churn-ckpt vN\n"] (N = {!version})
-    followed by one [Marshal]ed {!t}.  Files are written atomically
+    On disk: the ASCII header ["bgpsim-churn-ckpt vN\n"] (N = {!version}),
+    the payload's length (int64 little-endian) and md5, then the
+    payload: one [Marshal]ed {!t}.  {!read} verifies the length and
+    the md5 before unmarshalling.  Files are written atomically
     (temp + rename), so an interrupted write never corrupts the
     previous checkpoint.
 
     Version history: v1 chained digests over JSONL lines; v2 chains
-    digests over {!Obs.Binary} frames.  Chains across the two formats
-    are unrelated, so {!read} refuses other versions with
+    digests over {!Obs.Binary} frames; v3 follows {!Obs.Binary} format
+    2; v4 adds the payload length and md5.  Chains across formats are
+    unrelated, so {!read} refuses other versions with
     {!Incompatible_version} rather than continuing a broken chain. *)
 
 exception
@@ -23,6 +26,11 @@ exception
 (** The file is a churn checkpoint, but from another format version.
     Structured (not a bare [Failure]) so callers can map it to a
     distinct exit code. *)
+
+exception Corrupt of { path : string; reason : string }
+(** The file has a current-version header, but its payload is
+    truncated, padded or fails its md5.  Structured so callers can
+    map it to a distinct exit code. *)
 
 type t = {
   version : int;  (** format version; this module reads/writes {!version} *)
@@ -59,7 +67,8 @@ val write : dir:string -> t -> string
 val read : string -> t
 (** @raise Failure on a missing, foreign, or truncated header.
     @raise Incompatible_version on a churn checkpoint from a different
-    format version. *)
+    format version.
+    @raise Corrupt when the payload's length or md5 does not match. *)
 
 val latest : dir:string -> (int * string) option
 (** The highest-epoch checkpoint in [dir], if any. *)

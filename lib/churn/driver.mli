@@ -154,5 +154,7 @@ val run :
     checkpoint fingerprint mismatch.
     @raise Checkpoint.Incompatible_version when resuming from a
     checkpoint written by another format version.
-    @raise Failure on a corrupt checkpoint file or a compaction
-    invariant violation. *)
+    @raise Checkpoint.Corrupt when resuming from a checkpoint whose
+    payload fails its length or md5 check.
+    @raise Failure on a file that is not a churn checkpoint, or a
+    compaction invariant violation. *)

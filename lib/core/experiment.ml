@@ -28,7 +28,6 @@ type spec = {
   max_vtime : float option;
   max_wall_s : float option;
   preflight : Analysis.Preflight.mode;
-  partitions : int option;
 }
 
 let default_spec topology =
@@ -45,7 +44,6 @@ let default_spec topology =
     max_vtime = None;
     max_wall_s = None;
     preflight = Analysis.Preflight.Off;
-    partitions = None;
   }
 
 let event_name = function
@@ -278,22 +276,11 @@ let run ?obs ?profile ?watchdog spec =
         Analysis.Preflight.gate spec.preflight report;
         Some report
   in
-  (* The node-to-partition assignment is derived from the run's own
-     seed, so a partitioned spec is as reproducible as a sequential
-     one; the executor guarantees the outcome is identical either
-     way. *)
-  let partitions =
-    match spec.partitions with
-    | None -> None
-    | Some k ->
-        Some
-          (Partition.assignment (Partition.compute ~seed:spec.seed ~graph ~k))
-  in
   let outcome =
     Bgp.Routing_sim.run ~params:spec.params ~config
       ~max_events:spec.max_events ?max_vtime:spec.max_vtime
-      ~invariants:spec.invariants ?obs ?profile ~watchdog:wd ?partitions
-      ~graph ~origin ~event ~seed:spec.seed ()
+      ~invariants:spec.invariants ?obs ?profile ~watchdog:wd ~graph ~origin
+      ~event ~seed:spec.seed ()
   in
   let fib = Netcore.Trace.fib outcome.trace in
   let window_end = outcome.convergence_end +. spec.replay_tail in

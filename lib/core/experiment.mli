@@ -69,12 +69,6 @@ type spec = {
           scheduled — when the instance is statically doomed (an
           [Unsafe] policy verdict or a scenario lint error such as a
           dangling link reference) *)
-  partitions : int option;
-      (** run the simulation on [k] space partitions via the
-          conservative executor ({!Partition}, {!Netcore.Fabric});
-          [None] (default) is the classic single-engine path.  The
-          outcome and trace are byte-identical either way — this knob
-          changes execution machinery, not results. *)
 }
 
 val default_spec : topology -> spec

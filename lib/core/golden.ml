@@ -37,25 +37,15 @@ let find name = List.find_opt (fun f -> f.name = name) fixtures
    check: `bgpsim_cli run --trace out.jsonl` on Clique 5 / T_down. *)
 let canonical = clique5_tdown
 
-(* [partitions] overrides the spec's partition count: the golden wall
-   (and CI's partition-smoke step) re-derives the SAME committed
-   digests on the space-partitioned executor — the digest files never
-   fork per partition count, because the runs must not differ. *)
-let events ?partitions f =
-  let spec =
-    match partitions with
-    | None -> f.spec
-    | Some _ -> { f.spec with Experiment.partitions = partitions }
-  in
+let events f =
   let sink, contents = Obs.Sink.memory () in
   let obs = Obs.Bus.create ~sink () in
-  let (_ : Experiment.run) = Experiment.run ~obs spec in
+  let (_ : Experiment.run) = Experiment.run ~obs f.spec in
   contents ()
 
-let digest ?partitions f = Obs.Trace_digest.of_events (events ?partitions f)
+let digest f = Obs.Trace_digest.of_events (events f)
 
-let digest_line ?partitions f =
-  Printf.sprintf "%s %s" f.name (digest ?partitions f)
+let digest_line f = Printf.sprintf "%s %s" f.name (digest f)
 
 (* Full-mesh multi-prefix fixture: clique 5, every node originating its
    own prefix, node 0's prefix withdrawn.  Not an [Experiment.spec]
@@ -64,29 +54,20 @@ let digest_line ?partitions f =
    sharding and the batched MRAI release order. *)
 let mesh_name = "clique5-mesh"
 
-let mesh_events ?partitions () =
-  let graph = Topo.Generators.clique 5 in
-  let partitions =
-    Option.map
-      (fun k -> Partition.assignment (Partition.compute ~seed:1 ~graph ~k))
-      partitions
-  in
+let mesh_events () =
   let sink, contents = Obs.Sink.memory () in
   let obs = Obs.Bus.create ~sink () in
   let (_ : Bgp.Mesh_sim.outcome) =
-    Bgp.Mesh_sim.run ~obs ?partitions ~graph ~victim:0 ~seed:1 ()
+    Bgp.Mesh_sim.run ~obs ~graph:(Topo.Generators.clique 5) ~victim:0 ~seed:1
+      ()
   in
   contents ()
 
-let mesh_digest ?partitions () =
-  Obs.Trace_digest.of_events (mesh_events ?partitions ())
+let mesh_digest () = Obs.Trace_digest.of_events (mesh_events ())
 
-let mesh_digest_line ?partitions () =
-  Printf.sprintf "%s %s" mesh_name (mesh_digest ?partitions ())
+let mesh_digest_line () = Printf.sprintf "%s %s" mesh_name (mesh_digest ())
 
-let digest_lines ?partitions () =
-  List.map (digest_line ?partitions) fixtures
-  @ [ mesh_digest_line ?partitions () ]
+let digest_lines () = List.map digest_line fixtures @ [ mesh_digest_line () ]
 
 (* Fixture-file format: one "<name> <hex-md5>" pair per line; blank
    lines and '#' comments are ignored. *)

@@ -23,18 +23,14 @@ val canonical : fixture
 
 val find : string -> fixture option
 
-val events : ?partitions:int -> fixture -> Obs.Event.t list
-(** Run the fixture with a memory sink and return its trace.
-    [partitions] runs it on the space-partitioned executor; the trace
-    must be — and is asserted to be, by the partition test wall —
-    byte-identical to the sequential one. *)
+val events : fixture -> Obs.Event.t list
+(** Run the fixture with a memory sink and return its trace. *)
 
-val digest : ?partitions:int -> fixture -> string
+val digest : fixture -> string
 (** Hex md5 of the fixture's JSONL trace — equals the digest of the
-    file written by [bgpsim_cli run --trace] on the same scenario,
-    whatever [partitions] is. *)
+    file written by [bgpsim_cli run --trace] on the same scenario. *)
 
-val digest_line : ?partitions:int -> fixture -> string
+val digest_line : fixture -> string
 (** ["<name> <digest>"] — the fixture-file line format. *)
 
 val mesh_name : string
@@ -43,21 +39,18 @@ val mesh_name : string
     Not an {!Experiment.spec} (those are single-prefix), so it is
     exposed through the functions below instead of {!fixtures}. *)
 
-val mesh_events : ?partitions:int -> unit -> Obs.Event.t list
+val mesh_events : unit -> Obs.Event.t list
 (** Run the full-mesh fixture with a memory sink and return its
     per-prefix-tagged trace. *)
 
-val mesh_digest : ?partitions:int -> unit -> string
+val mesh_digest : unit -> string
 (** Hex md5 of the full-mesh fixture's JSONL trace. *)
 
-val mesh_digest_line : ?partitions:int -> unit -> string
+val mesh_digest_line : unit -> string
 (** ["clique5-mesh <digest>"]. *)
 
-val digest_lines : ?partitions:int -> unit -> string list
-(** All fixture lines followed by the {!mesh_digest_line}, computed on
-    [partitions] engines (default: the sequential path).  The lines
-    are identical for every valid partition count — that equality is
-    the executor's determinism gate. *)
+val digest_lines : unit -> string list
+(** All fixture lines followed by the {!mesh_digest_line}. *)
 
 val parse_expected : string -> (string * string) list
 (** Parse fixture-file text (["<name> <digest>"] lines; blanks and

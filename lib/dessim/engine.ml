@@ -17,24 +17,20 @@ type clock = { mutable now : float }
 type t = {
   queue : event Event_queue.t;
   clock : clock;
-  partition : int;
   mutable executed : int;
   mutable clock_monitor : (old_time:float -> new_time:float -> unit) option;
   mutable profiler :
     (time:float -> tag:string option -> run:(unit -> unit) -> unit) option;
 }
 
-let create ?(now = 0.) ?(partition = 0) ?shared_seq () =
+let create ?(now = 0.) () =
   {
-    queue = Event_queue.create ?shared_seq ();
+    queue = Event_queue.create ();
     clock = { now };
-    partition;
     executed = 0;
     clock_monitor = None;
     profiler = None;
   }
-
-let partition t = t.partition
 
 let set_clock_monitor t f = t.clock_monitor <- Some f
 let set_step_profiler t f = t.profiler <- Some f
@@ -113,30 +109,3 @@ let rec next_live_time t =
       else Some time
 
 let events_executed t = t.executed
-
-(* {2 Partitioned-executor hooks}
-
-   The conservative cluster loop inspects every partition's head once
-   per committed event, so these must not allocate: no options, no
-   tuples.  [has_live_head] discards cancelled heads as a side effect
-   (observationally a no-op, same as [next_live_time]) so that a [true]
-   answer makes the paired [head_time]/[head_seq] reads meaningful. *)
-
-let rec has_live_head t =
-  if Event_queue.is_empty t.queue then false
-  else if (Event_queue.top_item t.queue).state = `Cancelled then begin
-    let (_ : event) = Event_queue.pop_item t.queue in
-    has_live_head t
-  end
-  else true
-
-let head_time t = Event_queue.top_time t.queue
-
-let head_seq t = Event_queue.top_seq t.queue
-
-(* Null-message clock advance: a partition that has proven (via channel
-   clock advertisements) that no event below [to_] can ever reach it may
-   move its clock forward without executing anything.  Also used to
-   stamp cross-partition control mutations consistently.  Never moves
-   the clock backwards. *)
-let sync_clock t ~to_ = if to_ > t.clock.now then t.clock.now <- to_

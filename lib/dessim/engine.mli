@@ -11,15 +11,8 @@ type handle
 (** A scheduled event.  Cancelling a handle is O(1); the event stays in
     the queue but is skipped when dequeued. *)
 
-val create : ?now:float -> ?partition:int -> ?shared_seq:int ref -> unit -> t
-(** A fresh engine; the clock starts at [now] (default [0.]).
-
-    [partition] tags the engine with the space-partition it serves
-    (default [0]; informational, see {!partition}).  [shared_seq]
-    threads a sequence counter shared with sibling engines so that
-    [(time, seq)] totally orders events across the whole group — the
-    foundation of the partitioned executor's determinism guarantee
-    (see {!Cluster}). *)
+val create : ?now:float -> unit -> t
+(** A fresh engine; the clock starts at [now] (default [0.]). *)
 
 val now : t -> float
 
@@ -71,33 +64,3 @@ val set_step_profiler :
 
 val events_executed : t -> int
 (** Total live events executed since creation. *)
-
-(** {2 Partitioned-executor hooks}
-
-    Used by {!Cluster} to drive several engines as one logical
-    simulation.  All three head accessors are allocation-free — the
-    cluster's commit loop consults every partition head once per
-    committed event. *)
-
-val partition : t -> int
-(** The partition id given at {!create} (default [0]). *)
-
-val has_live_head : t -> bool
-(** Whether a non-cancelled event is queued.  Discards cancelled events
-    found at the head (observationally a no-op), so a [true] result
-    means {!head_time}/{!head_seq} describe a live event. *)
-
-val head_time : t -> float
-(** Timestamp of the head event.  Only meaningful immediately after
-    {!has_live_head} returned [true]. *)
-
-val head_seq : t -> int
-(** Sequence number of the head event.  Only meaningful immediately
-    after {!has_live_head} returned [true]. *)
-
-val sync_clock : t -> to_:float -> unit
-(** Advances the clock to [to_] without executing an event (a null
-    message in conservative-synchronization terms).  Never moves the
-    clock backwards; [to_ <= now t] is a no-op.  Only sound when the
-    caller has proven no event below [to_] can still reach this
-    engine. *)

@@ -11,12 +11,7 @@ type 'a t = {
   mutable seqs : int array;
   mutable items : 'a array;
   mutable size : int;
-  (* Sequence source: private to this queue by default, or a counter
-     shared by a group of queues.  A shared counter makes [(time, seq)]
-     a total order ACROSS the group, so "global minimum over several
-     queues" means exactly what "heap minimum" means for one queue —
-     the property the partitioned executor's determinism rests on. *)
-  seq_source : int ref;
+  mutable next_seq : int;
 }
 
 let initial_capacity = 64
@@ -30,9 +25,8 @@ let initial_capacity = 64
    engine stores event records there. *)
 let dummy : unit -> 'a = fun () -> Obj.magic 0
 
-let create ?shared_seq () =
-  let seq_source = match shared_seq with Some r -> r | None -> ref 0 in
-  { times = [||]; seqs = [||]; items = [||]; size = 0; seq_source }
+let create () =
+  { times = [||]; seqs = [||]; items = [||]; size = 0; next_seq = 0 }
 
 let is_empty t = t.size = 0
 
@@ -112,17 +106,13 @@ let sift_down t i time seq item =
 
 let push t ~time item =
   if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
-  let seq = !(t.seq_source) in
-  t.seq_source := seq + 1;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   ensure_capacity t;
   t.size <- t.size + 1;
   sift_up t (t.size - 1) time seq item
 
 let top_time t = t.times.(0)
-
-let top_seq t = t.seqs.(0)
-
-let top_item t = t.items.(0)
 
 let pop_item t =
   let item = t.items.(0) in

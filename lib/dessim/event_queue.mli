@@ -5,12 +5,7 @@
 
 type 'a t
 
-val create : ?shared_seq:int ref -> unit -> 'a t
-(** [shared_seq] supplies the sequence counter; passing the same ref to
-    several queues makes [(time, seq)] a total order across all of them
-    (each push consumes the next value, whichever queue it lands in).
-    The partitioned executor relies on this to define "globally earliest
-    event".  Default: a counter private to the new queue. *)
+val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
@@ -30,14 +25,6 @@ val pop : 'a t -> (float * 'a) option
 val top_time : 'a t -> float
 (** Timestamp of the earliest item.  Undefined on an empty queue
     (reads a stale slot); guard with {!is_empty}. *)
-
-val top_seq : 'a t -> int
-(** Sequence number of the earliest item.  Undefined on an empty
-    queue; guard with {!is_empty}. *)
-
-val top_item : 'a t -> 'a
-(** The earliest item, without removing it.  Undefined on an empty
-    queue; guard with {!is_empty}. *)
 
 val pop_item : 'a t -> 'a
 (** Removes and returns the earliest item without its timestamp (read

@@ -1,10 +1,5 @@
 type chaos = { loss : float; dup : float; rng : Dessim.Rng.t }
 
-type transport = {
-  schedule : from:int -> dst:int -> at:float -> (unit -> unit) -> unit;
-  clock : int -> float;
-}
-
 type t = {
   a : int;
   b : int;
@@ -15,7 +10,6 @@ type t = {
   mutable epoch_guard : bool;
   mutable checker : Faults.Invariant.t;
   mutable obs : Obs.Bus.t;
-  mutable transport : transport option;
 }
 
 let create ~a ~b ~delay =
@@ -31,7 +25,6 @@ let create ~a ~b ~delay =
     epoch_guard = true;
     checker = Faults.Invariant.off;
     obs = Obs.Bus.off;
-    transport = None;
   }
 
 let endpoints t = (t.a, t.b)
@@ -55,8 +48,6 @@ let set_epoch_guard t on = t.epoch_guard <- on
 let attach_checker t checker = t.checker <- checker
 
 let attach_obs t obs = t.obs <- obs
-
-let set_transport t tr = t.transport <- Some tr
 
 let fail t =
   if t.up then begin
@@ -86,20 +77,12 @@ let send t ~engine ~from ~deliver =
   end
   else begin
     let sent_epoch = t.epoch in
-    (* Arrival-time drop stamps must read the clock of the engine the
-       arrival actually executes on.  Without a transport that is the
-       sender's [engine]; with one, the destination node's partition
-       clock (identical value — the arrival event sets it — but read
-       through the transport because [engine] belongs to the sender). *)
     let arrival () =
       if t.up then begin
         if t.epoch = sent_epoch then deliver ()
         else if t.epoch_guard then
           Obs.Bus.msg_dropped t.obs
-            ~time:
-              (match t.transport with
-              | None -> Dessim.Engine.now engine
-              | Some tr -> tr.clock dst)
+            ~time:(Dessim.Engine.now engine)
             ~a:from ~b:dst ~reason:Obs.Event.Stale_epoch
         else begin
           (* Fault-injection knob: the stale-epoch drop is disabled, so
@@ -115,10 +98,7 @@ let send t ~engine ~from ~deliver =
       end
       else
         Obs.Bus.msg_dropped t.obs
-          ~time:
-            (match t.transport with
-            | None -> Dessim.Engine.now engine
-            | Some tr -> tr.clock dst)
+          ~time:(Dessim.Engine.now engine)
           ~a:from ~b:dst ~reason:Obs.Event.Down
     in
     let copies =
@@ -135,20 +115,11 @@ let send t ~engine ~from ~deliver =
         ~time:(Dessim.Engine.now engine)
         ~a:from ~b:dst ~reason:Obs.Event.Loss;
     for _ = 1 to copies do
-      match t.transport with
-      | None ->
-          let (_ : Dessim.Engine.handle) =
-            Dessim.Engine.schedule_after ~tag:"link-deliver" engine
-              ~delay:t.delay arrival
-          in
-          ()
-      | Some tr ->
-          (* Same arrival-time arithmetic as [schedule_after] so a
-             partitioned run reproduces the sequential floats bit for
-             bit. *)
-          tr.schedule ~from ~dst
-            ~at:(Dessim.Engine.now engine +. t.delay)
-            arrival
+      let (_ : Dessim.Engine.handle) =
+        Dessim.Engine.schedule_after ~tag:"link-deliver" engine ~delay:t.delay
+          arrival
+      in
+      ()
     done;
     true
   end

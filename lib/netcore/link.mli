@@ -49,26 +49,6 @@ val attach_obs : t -> Obs.Bus.t -> unit
     [Loss], or [Stale_epoch] — see {!Obs.Event.drop_reason}) to the
     trace bus; defaults to {!Obs.Bus.off}. *)
 
-type transport = {
-  schedule : from:int -> dst:int -> at:float -> (unit -> unit) -> unit;
-      (** enqueue an arrival at absolute time [at] with the link's
-          destination node [dst] (the space-partitioned executor routes
-          it through the cross-partition channel) *)
-  clock : int -> float;
-      (** committed clock of the partition owning a node — used to
-          stamp arrival-time drops, because the sender's engine may lag
-          the arrival *)
-}
-(** How a link hands messages to the executor when its endpoints live
-    in different partitions.  Without a transport (the default), both
-    scheduling and clock reads go through the [engine] passed to
-    {!send} — the single-engine sequential path. *)
-
-val set_transport : t -> transport -> unit
-(** Routes this link's deliveries through [transport].  Installed by
-    {!Fabric} on links whose endpoints are assigned to different
-    partitions; never installed on intra-partition links. *)
-
 val fail : t -> unit
 (** Takes the link down and invalidates in-flight messages.  Idempotent. *)
 

@@ -160,8 +160,8 @@ let need s pos n =
   if pos + n > String.length s then
     corrupt "truncated frame at byte %d (need %d more)" pos n
 
-let read_varint s pos =
-  let v = ref 0 and shift = ref 0 and pos = ref pos and fin = ref false in
+let read_varint s start =
+  let v = ref 0 and shift = ref 0 and pos = ref start and fin = ref false in
   while not !fin do
     need s !pos 1;
     if !shift > 56 then corrupt "varint too long at byte %d" !pos;
@@ -171,6 +171,7 @@ let read_varint s pos =
     shift := !shift + 7;
     if b < 0x80 then fin := true
   done;
+  if !v < 0 then corrupt "varint overflows at byte %d" start;
   (!v, !pos)
 
 let read_int32 s pos =
@@ -328,30 +329,34 @@ let open_reader ic =
   ignore (check_header (Bytes.to_string hdr) 0);
   { ic; frame = Bytes.create 256 }
 
-let input_varint ic =
-  let v = ref 0 and shift = ref 0 and fin = ref false in
-  while not !fin do
+(* [first] is the frame's first length byte, already read *)
+let input_length ic first =
+  let v = ref (first land 0x7f) and shift = ref 7 and b = ref first in
+  while !b >= 0x80 do
     if !shift > 56 then corrupt "varint too long";
-    let b = input_byte ic in
-    v := !v lor ((b land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if b < 0x80 then fin := true
+    (b :=
+       try input_byte ic with End_of_file -> corrupt "truncated frame length");
+    v := !v lor ((!b land 0x7f) lsl !shift);
+    shift := !shift + 7
   done;
+  if !v < 0 then corrupt "frame length overflows";
   !v
 
+(* The frame buffer grows only as payload bytes arrive, so a corrupt
+   length prefix allocates no more than the stream actually holds. *)
 let input r =
   match input_byte r.ic with
   | exception End_of_file -> None
   | first ->
-      let len =
-        if first < 0x80 then first
-        else
-          let rest = try input_varint r.ic with End_of_file -> corrupt "truncated frame length" in
-          (first land 0x7f) lor (rest lsl 7)
-      in
-      if Bytes.length r.frame < len then
-        r.frame <- Bytes.create (max len (2 * Bytes.length r.frame));
-      (try really_input r.ic r.frame 0 len
-       with End_of_file -> corrupt "truncated frame (wanted %d bytes)" len);
+      let len = input_length r.ic first in
+      let filled = ref 0 in
+      while !filled < len do
+        if !filled = Bytes.length r.frame then
+          r.frame <- Bytes.extend r.frame 0 (min (len - !filled) !filled);
+        let want = min (len - !filled) (Bytes.length r.frame - !filled) in
+        match Stdlib.input r.ic r.frame !filled want with
+        | 0 -> corrupt "truncated frame (wanted %d bytes, got %d)" len !filled
+        | n -> filled := !filled + n
+      done;
       let s = Bytes.sub_string r.frame 0 len in
       Some (decode_payload s 0 len)

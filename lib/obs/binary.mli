@@ -48,4 +48,6 @@ val open_reader : in_channel -> reader
 
 val input : reader -> Event.t option
 (** Next event, or [None] at a clean end of stream.  Raises [Failure]
-    on a truncated or corrupt frame. *)
+    on a truncated or corrupt frame, including a negative or oversized
+    length prefix; the frame buffer grows only as bytes arrive, so
+    allocation stays bounded by the bytes actually in the stream. *)

@@ -221,7 +221,44 @@ let test_checkpoint_refuses_mismatch () =
     (try
        ignore (Churn.Checkpoint.read bogus : Churn.Checkpoint.t);
        false
-     with Failure _ -> true)
+     with Failure _ -> true);
+  (* a current-version header over a damaged payload must fail the
+     length/md5 check before anything is unmarshalled: a truncated
+     payload would otherwise die in input_value, and a flipped bit
+     would resume silently onto a different chain *)
+  let bytes =
+    let ic = open_in_bin ckpt in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let n = String.length bytes in
+  let damaged name contents =
+    let path = Filename.concat dir name in
+    let oc = open_out_bin path in
+    output_string oc contents;
+    close_out oc;
+    path
+  in
+  let expect_corrupt label path =
+    match Churn.Checkpoint.read path with
+    | _ -> Alcotest.failf "%s: damaged checkpoint accepted" label
+    | exception Churn.Checkpoint.Corrupt { path = p; _ } ->
+        Alcotest.(check string) (label ^ ": path reported") path p
+  in
+  expect_corrupt "one-byte truncation"
+    (damaged "ckpt-truncated.bin" (String.sub bytes 0 (n - 1)));
+  (* the middle byte lies well inside the marshalled payload *)
+  let flipped =
+    let b = Bytes.of_string bytes in
+    Bytes.set b (n / 2) (Char.chr (Char.code (Bytes.get b (n / 2)) lxor 1));
+    damaged "ckpt-flipped.bin" (Bytes.to_string b)
+  in
+  expect_corrupt "payload bit flip" flipped;
+  (* the same structured exception surfaces through Driver.run *)
+  match Churn.Driver.run ~resume_from:flipped (base_cfg ~epochs:4 ()) with
+  | _ -> Alcotest.fail "driver must refuse a corrupt checkpoint"
+  | exception Churn.Checkpoint.Corrupt _ -> ()
 
 let test_checkpoint_incompatible_version () =
   let dir = temp_dir () in

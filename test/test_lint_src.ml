@@ -8,7 +8,10 @@
      directive without a justification is a config error, never a
      silent pass;
    - report classification, exit codes, and the --json schema
-     round-trip. *)
+     round-trip;
+   - tree coverage: real library units load from their built cmts,
+     their per-site suppressions register, and the allowlist carries
+     no blanket entry for them. *)
 
 open Lint_src
 
@@ -157,7 +160,7 @@ let test_wrong_rule_does_not_suppress () =
   in
   Alcotest.(check int) "still open" 1 (Report.open_count report)
 
-(* --- the partitioned-executor modules are covered by the scan --- *)
+(* --- real tree units are covered by the scan --- *)
 
 (* [dune runtest] runs in _build/default/test; [dune exec] runs from
    the invocation directory — try both spellings of each path. *)
@@ -170,29 +173,34 @@ let locate candidates =
 
 let both p = [ Filename.concat ".." p; Filename.concat "_build/default" p ]
 
-let partition_units =
+(* (label, cmt, source, minimum comment-suppressed findings): the
+   event queue's seq tie-breaks and the link's zero-probability test
+   are per-site [allow D004] comments *)
+let tree_units =
   [
-    ( "Dessim.Channel",
-      "lib/dessim/.dessim.objs/byte/dessim__Channel.cmt",
-      "lib/dessim/channel.ml" );
-    ( "Dessim.Cluster",
-      "lib/dessim/.dessim.objs/byte/dessim__Cluster.cmt",
-      "lib/dessim/cluster.ml" );
-    ( "Netcore.Fabric",
-      "lib/netcore/.netcore.objs/byte/netcore__Fabric.cmt",
-      "lib/netcore/fabric.ml" );
-    ( "Bgpsim.Partition",
-      "lib/core/.bgpsim.objs/byte/bgpsim__Partition.cmt",
-      "lib/core/partition.ml" );
+    ( "Dessim.Event_queue",
+      "lib/dessim/.dessim.objs/byte/dessim__Event_queue.cmt",
+      "lib/dessim/event_queue.ml",
+      3 );
+    ( "Dessim.Engine",
+      "lib/dessim/.dessim.objs/byte/dessim__Engine.cmt",
+      "lib/dessim/engine.ml",
+      0 );
+    ( "Netcore.Link",
+      "lib/netcore/.netcore.objs/byte/netcore__Link.cmt",
+      "lib/netcore/link.ml",
+      1 );
   ]
 
-let test_partition_modules_covered () =
-  (* the analyzer must load each new unit from its real cmt, and every
+let test_tree_units_covered () =
+  (* the analyzer must load each unit from its real cmt, and every
      finding in it must be suppressed by an in-source justified
-     comment — the same pass `dune build @lint` runs over the tree *)
+     comment — the same pass `dune build @lint` runs over the tree.
+     Suppressed findings must register as such, not as silence: proof
+     the rule actually visits the code. *)
   let scan_source file = Suppress.scan_file (locate (both file)) in
   List.iter
-    (fun (label, cmt, _src) ->
+    (fun (label, cmt, _src, min_suppressed) ->
       match Analyze.analyze_cmt (locate (both cmt)) with
       | Error e -> Alcotest.failf "%s: %s" label e
       | Ok (_, findings) ->
@@ -202,22 +210,20 @@ let test_partition_modules_covered () =
           Alcotest.(check int)
             (label ^ ": no open findings")
             0 (Report.open_count report);
-          if label = "Dessim.Cluster" then
-            (* the commit loop's float tie-breaks must register as
-               suppressed findings, not as silence — proof the rule
-               actually visits the new code *)
-            Alcotest.(check bool)
-              "cluster D004 sites fire and are comment-suppressed" true
-              (Report.suppressed_count report >= 1))
-    partition_units
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: at least %d comment-suppressed findings" label
+               min_suppressed)
+            true
+            (Report.suppressed_count report >= min_suppressed))
+    tree_units
 
-let test_partition_modules_not_allowlisted () =
+let test_tree_units_not_allowlisted () =
   (* per-site suppressions only: the committed allowlist must carry no
-     blanket entry for any of the new files *)
+     blanket entry for any of these files *)
   let allows, errs = Suppress.parse_allowlist (locate (both "lint_allowlist.txt")) in
   Alcotest.(check (list string)) "allowlist parses" [] errs;
   List.iter
-    (fun (label, _cmt, src) ->
+    (fun (label, _cmt, src, _) ->
       List.iter
         (fun rule ->
           Alcotest.(check bool)
@@ -227,7 +233,7 @@ let test_partition_modules_not_allowlisted () =
                (fun a -> Suppress.allow_covers a ~rule ~file:src)
                allows))
         Rule.all)
-    partition_units
+    tree_units
 
 (* --- JSON round-trip --- *)
 
@@ -317,9 +323,8 @@ let () =
         ] );
       ( "tree coverage",
         [
-          tc "partitioned executor modules scanned"
-            test_partition_modules_covered;
-          tc "partitioned executor modules not allowlisted"
-            test_partition_modules_not_allowlisted;
+          tc "engine/queue/link scanned" test_tree_units_covered;
+          tc "engine/queue/link not allowlisted"
+            test_tree_units_not_allowlisted;
         ] );
     ]

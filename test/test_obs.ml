@@ -200,7 +200,70 @@ let test_binary_rejects_corruption () =
     Obs.Binary.header ^ String.sub frame 0 (String.length frame - 1)
   in
   Alcotest.(check bool) "truncated frame" true
-    (fails (fun () -> Obs.Binary.decode_all truncated))
+    (fails (fun () -> Obs.Binary.decode_all truncated));
+  (* hostile length prefixes and counts: each must fail with Failure
+     through both the bulk decoder and the channel reader behind
+     `trace decode`, and the reader must not allocate for a length the
+     stream does not hold *)
+  let varint n =
+    let b = Buffer.create 10 in
+    let n = ref n in
+    while !n lsr 7 <> 0 do
+      Buffer.add_char b (Char.chr (0x80 lor (!n land 0x7f)));
+      n := !n lsr 7
+    done;
+    Buffer.add_char b (Char.chr !n);
+    Buffer.contents b
+  in
+  (* nine bytes whose last one sets bit 62, the sign bit of an OCaml int *)
+  let sign_bit_varint = String.make 8 '\x80' ^ "\x40" in
+  let negative_members =
+    let payload =
+      "\010" ^ String.make 8 '\000' ^ sign_bit_varint ^ "\000"
+    in
+    varint (String.length payload) ^ payload
+  in
+  let reader_words body =
+    let path = Filename.temp_file "obs_probe" ".bin" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out_bin path in
+        output_string oc (Obs.Binary.header ^ body);
+        close_out oc;
+        let ic = open_in_bin path in
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            let r = Obs.Binary.open_reader ic in
+            let before = Gc.allocated_bytes () in
+            let failed =
+              fails (fun () ->
+                  while Obs.Binary.input r <> None do
+                    ()
+                  done)
+            in
+            let words =
+              (Gc.allocated_bytes () -. before)
+              /. float_of_int (Sys.word_size / 8)
+            in
+            (failed, words)))
+  in
+  List.iter
+    (fun (label, body) ->
+      Alcotest.(check bool) (label ^ ": decode_all") true
+        (fails (fun () -> Obs.Binary.decode_all (Obs.Binary.header ^ body)));
+      let failed, words = reader_words body in
+      Alcotest.(check bool) (label ^ ": reader") true failed;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: reader allocates under 1 Mword (%.0f)" label words)
+        true (words < 1e6))
+    [
+      ("5-byte body claiming 2^31 bytes", varint (1 lsl 31));
+      ("length 2^60", varint (1 lsl 60));
+      ("sign-bit length", sign_bit_varint);
+      ("negative member count", negative_members);
+    ]
 
 let read_file path =
   let ic = open_in_bin path in
