@@ -19,7 +19,7 @@ let () =
     victim_origin (List.length background);
   List.iter
     (fun (label, churn) ->
-      let o = Bgp.Multi_sim.run ?churn ~graph ~origins ~victim:0 ~seed:1 () in
+      let o = Bgp.Mesh_sim.run ?churn ~origins ~graph ~victim:0 ~seed:1 () in
       let fib = List.assoc o.victim o.prefixes in
       let loops =
         Loopscan.Scanner.scan ~fib ~origin:victim_origin ~from:o.t_fail ()
@@ -27,14 +27,14 @@ let () =
       Format.printf
         "%-16s victim conv=%6.1fs  victim loops=%2d  victim msgs=%4d  bg msgs=%5d@."
         label
-        (Bgp.Multi_sim.convergence_time o)
+        (Bgp.Mesh_sim.convergence_time o)
         (List.length loops.loops) o.victim_messages o.background_messages)
     [
       ("quiet", None);
       ( "gentle flapping",
-        Some { Bgp.Multi_sim.period = 60.; cycles = 6; flappers } );
+        Some { Bgp.Mesh_sim.period = 60.; cycles = 6; flappers } );
       ( "heavy flapping",
-        Some { Bgp.Multi_sim.period = 10.; cycles = 36; flappers } );
+        Some { Bgp.Mesh_sim.period = 10.; cycles = 36; flappers } );
     ];
   Format.printf
     "@.The failure injected for the victim is identical in all three runs;@.\

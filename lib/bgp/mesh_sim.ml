@@ -1,40 +1,30 @@
-(* Full-mesh multi-prefix workload: N origins, each announcing its own
-   prefix over one shared event stream, one path arena and one prefix
-   table.  The control flow deliberately mirrors [Multi_sim] step for
-   step — same RNG split labels, same scheduling tags, same warm-up /
-   failure-gap / accounting structure — so that a run restricted to a
-   single origin evolves identically to [Multi_sim] (and hence, via
-   the existing differential suite, to [Routing_sim]).  The test wall
-   in test/test_mesh.ml enforces that equivalence.
+(* Full-mesh multi-prefix workload over {!Network}: N origins, each
+   announcing its own prefix over one shared event stream, one path
+   arena and one prefix table.  With a single origin the run is
+   [Routing_sim]'s T_down (same RNG splits, same scheduling tags), which
+   test/test_differential.ml checks change for change.
 
-   What it adds over [Multi_sim]:
+   On top of the network:
    - speakers share a [Prefix.Table] (pre-interned in origin order, so
-     prefix id = origin index) and run with [prefix_obs], tagging every
-     per-prefix trace event with its dense id;
-   - per-prefix [Fib_change] events are emitted (Multi_sim cannot: its
-     event stream carries no prefix discriminator);
+     prefix id = origin index) and tag every per-prefix trace event with
+     its dense id;
    - a streaming loop scanner per prefix, fed forwarding changes as
      they happen, replaces the post-hoc scan — loop events appear in
      the trace chronologically interleaved with the changes that
      caused them. *)
 
-type churn = Multi_sim.churn = {
-  period : float;
-  cycles : int;
-  flappers : int list;
-}
+type churn = { period : float; cycles : int; flappers : int list }
 
 type outcome = {
   prefixes : (Prefix.t * Netcore.Fib_history.t) list;
   loop_reports : (Prefix.t * Loopscan.Scanner.report) list;
-  trace : Netcore.Trace.t;
   t_fail : float;
   victim : Prefix.t;
   victim_convergence_end : float;
   victim_messages : int;
   background_messages : int;
   converged : bool;
-  termination : Routing_sim.termination;
+  termination : Network.termination;
   invariant_violations : (Faults.Invariant.kind * int) list;
   paths_interned : int;
   events_executed : int;
@@ -42,29 +32,22 @@ type outcome = {
 
 let convergence_time o = o.victim_convergence_end -. o.t_fail
 
-let failure_gap = 10.
-
-let link_key a b = if a < b then (a, b) else (b, a)
-
-let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
-    ?origins ?(max_events = 40_000_000) ?max_vtime
-    ?(invariants = Faults.Invariant.Off) ?(obs = Obs.Bus.off) ~graph ~victim
-    ~seed () =
-  Netcore.Params.validate params;
-  Config.validate config;
+let run ?params ?config ?churn ?origins ?(max_events = 40_000_000) ?max_vtime
+    ?invariants ?(obs = Obs.Bus.off) ~graph ~victim ~seed () =
   let n = Topo.Graph.n_nodes graph in
   (* the full mesh by default: every AS originates its own prefix *)
   let origins =
     match origins with Some os -> os | None -> List.init n Fun.id
   in
+  let n_prefixes = List.length origins in
   if origins = [] then invalid_arg "Mesh_sim.run: no origins";
   List.iter
     (fun o ->
       if o < 0 || o >= n then invalid_arg "Mesh_sim.run: origin out of range")
     origins;
-  if List.length (List.sort_uniq compare origins) <> List.length origins then
+  if List.length (List.sort_uniq compare origins) <> n_prefixes then
     invalid_arg "Mesh_sim.run: duplicate origins";
-  if victim < 0 || victim >= List.length origins then
+  if victim < 0 || victim >= n_prefixes then
     invalid_arg "Mesh_sim.run: victim index out of range";
   (match churn with
   | Some c ->
@@ -73,63 +56,26 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
       List.iter
         (fun f ->
           if f = victim then invalid_arg "Mesh_sim.run: the victim cannot flap";
-          if f < 0 || f >= List.length origins then
+          if f < 0 || f >= n_prefixes then
             invalid_arg "Mesh_sim.run: flapper index out of range")
         c.flappers
   | None -> ());
-  if not (Topo.Graph.is_connected graph) then
-    invalid_arg "Mesh_sim.run: graph must be connected";
-  if max_events <= 0 then invalid_arg "Mesh_sim.run: max_events must be positive";
-  (match max_vtime with
-  | Some t when t <= 0. || Float.is_nan t ->
-      invalid_arg "Mesh_sim.run: max_vtime must be positive"
-  | Some _ | None -> ());
   let engine = Dessim.Engine.create () in
-  let checker = Faults.Invariant.create invariants in
-  if Faults.Invariant.enabled checker then
-    Dessim.Engine.set_clock_monitor engine (fun ~old_time ~new_time ->
-        if new_time < old_time then
-          Faults.Invariant.report checker Faults.Invariant.Clock_regression
-            ~detail:(fun () ->
-              Printf.sprintf "event at %g fired with clock at %g" new_time
-                old_time));
-  let trace = Netcore.Trace.create ~n in
-  let root_rng = Dessim.Rng.create ~seed in
-  let proc_rng = Dessim.Rng.split root_rng ~label:"proc" in
-  let links = Hashtbl.create (Topo.Graph.n_edges graph) in
-  List.iter
-    (fun (a, b) ->
-      let link = Netcore.Link.create ~a ~b ~delay:params.link_delay in
-      if Faults.Invariant.enabled checker then
-        Netcore.Link.attach_checker link checker;
-      if Obs.Bus.enabled obs then Netcore.Link.attach_obs link obs;
-      Hashtbl.add links (link_key a b) link)
-    (Topo.Graph.edges graph);
-  let node_procs =
-    Array.init n (fun i -> Netcore.Node_proc.create ~obs ~node:i ())
-  in
-  let speakers = Array.make n None in
-  let speaker i =
-    match speakers.(i) with Some s -> s | None -> assert false
-  in
-  (* one arena, one prefix table for the whole run: RIB shard keys and
-     trace prefix ids agree across every speaker *)
-  let paths = As_path.Table.create () in
-  let prefixes = Prefix.Table.create ~capacity:(List.length origins) () in
+  (* one prefix table for the whole run, pre-interned in origin order:
+     prefix id = index into [origins], in RIB shard keys and trace
+     events alike *)
+  let table = Prefix.Table.create ~capacity:n_prefixes () in
   let prefix_list = List.map (fun origin -> Prefix.make ~origin ()) origins in
-  (* pre-intern in origin order: prefix id = index into [origins] *)
   List.iteri
     (fun i p ->
-      let id = Prefix.Table.id prefixes p in
+      let id = Prefix.Table.id table p in
       assert (id = i))
     prefix_list;
-  let n_prefixes = List.length prefix_list in
   let victim_prefix = List.nth prefix_list victim in
   let fibs =
     List.map (fun p -> (p, Netcore.Fib_history.create ~n)) prefix_list
   in
   let fib_by_id = Array.of_list (List.map snd fibs) in
-  let origin_by_id = Array.of_list origins in
   (* streaming scanners, armed at the warm-up boundary (a drained
      warm-up is converged, hence loop-free — the precondition the
      scanner checks) *)
@@ -138,46 +84,18 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
   and background_msgs = ref 0
   and last_victim_send = ref neg_infinity in
   let t_fail_ref = ref infinity in
-  let draw_proc_delay () =
-    Dessim.Rng.uniform proc_rng ~lo:params.proc_delay_min
-      ~hi:params.proc_delay_max
-  in
-  let pid_of p = Prefix.Table.id prefixes p in
-  let emit_from src ~peer msg =
-    let link =
-      match Hashtbl.find_opt links (link_key src peer) with
-      | Some l -> l
-      | None -> invalid_arg "Mesh_sim: emit to non-neighbor"
-    in
+  let on_send msg =
     let now = Dessim.Engine.now engine in
-    let withdraw =
-      match (msg : Msg.t) with Withdraw _ -> true | Announce _ -> false
-    in
-    let pid = pid_of (Msg.prefix msg) in
-    Netcore.Trace.log_send trace ~time:now ~src ~dst:peer ~kind:(Msg.kind msg);
-    Obs.Bus.update_sent obs ~prefix:pid ~time:now ~src ~dst:peer ~withdraw;
     if now >= !t_fail_ref then
       if Prefix.equal (Msg.prefix msg) victim_prefix then begin
         incr victim_msgs;
         if now > !last_victim_send then last_victim_send := now
       end
-      else incr background_msgs;
-    let deliver () =
-      Netcore.Node_proc.submit node_procs.(peer) ~engine
-        ~delay:(draw_proc_delay ()) ~work:(fun () ->
-          Netcore.Trace.log_process trace
-            ~time:(Dessim.Engine.now engine)
-            ~node:peer ~from:src ~kind:(Msg.kind msg);
-          Obs.Bus.update_recv obs ~prefix:pid
-            ~time:(Dessim.Engine.now engine)
-            ~node:peer ~from:src ~withdraw;
-          Speaker.handle_msg (speaker peer) ~from:src msg)
-    in
-    ignore (Netcore.Link.send link ~engine ~from:src ~deliver : bool)
+      else incr background_msgs
   in
-  let on_next_hop_change_for node ~prefix ~next_hop =
+  let on_next_hop_change node ~prefix ~next_hop =
     let now = Dessim.Engine.now engine in
-    let pid = pid_of prefix in
+    let pid = Prefix.Table.id table prefix in
     Netcore.Fib_history.record fib_by_id.(pid) ~time:now ~node ~next_hop;
     Obs.Bus.fib_change obs ~prefix:pid ~time:now ~node ~next_hop;
     match streams.(pid) with
@@ -186,48 +104,45 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
           ~next_hop
     | None -> ()
   in
-  for i = 0 to n - 1 do
-    let rng = Dessim.Rng.split root_rng ~label:("speaker-" ^ string_of_int i) in
-    speakers.(i) <-
-      Some
-        (Speaker.create ~checker ~obs ~prefix_obs:true ~paths ~prefixes ~engine
-           ~config ~rng ~node:i
-           ~peers:(Topo.Graph.neighbors graph i)
-           ~emit:(emit_from i)
-           ~on_next_hop_change:(on_next_hop_change_for i)
-           ())
-  done;
+  let root_rng = Dessim.Rng.create ~seed in
+  let proc_rng = Dessim.Rng.split root_rng ~label:"proc" in
+  let net =
+    Network.create ?params ?config ?invariants ~obs ~prefixes:table ~on_send
+      ~engine ~graph
+      ~origins:(List.combine origins prefix_list)
+      ~proc_rng
+      ~speaker_rngs:(Network.speaker_rngs root_rng ~n)
+      ~on_next_hop_change ()
+  in
+  let speaker = Network.speaker net in
+  let run_phase () = Network.run_phase ?until:max_vtime net ~max_events in
   (* warm-up: all prefixes originate *)
-  List.iter2
-    (fun origin prefix ->
-      let (_ : Dessim.Engine.handle) =
-        Dessim.Engine.schedule ~tag:"originate" engine ~at:0. (fun () ->
-            Speaker.originate (speaker origin) prefix)
-      in
-      ())
-    origins prefix_list;
-  Dessim.Engine.run ?until:max_vtime ~max_events engine;
-  let warmup_drained = Dessim.Engine.events_executed engine < max_events in
+  Network.originate_all net ~at:0.;
+  let warmup = run_phase () in
   (* arm the streaming scanners on the converged forwarding state; a
-     warm-up that blew the budget may hold transient loops the scanner
+     warm-up that did not drain may hold transient loops the scanner
      rejects, so streaming is skipped (loop_reports stays empty) *)
-  if warmup_drained then
+  if warmup = Network.Drained then
     List.iteri
-      (fun pid (_p, fib) ->
+      (fun pid (origin, (_p, fib)) ->
         streams.(pid) <-
           Some
-            (Loopscan.Stream.create ~record:true ~origin:origin_by_id.(pid)
+            (Loopscan.Stream.create ~record:true ~origin
                ~initial:(Netcore.Fib_history.snapshot fib ~before:infinity)
                ()))
-      fibs;
-  let t_fail = Dessim.Engine.now engine +. failure_gap in
+      (List.combine origins fibs);
+  let t_fail = Dessim.Engine.now engine +. Network.failure_gap in
   t_fail_ref := t_fail;
+  let inject at f =
+    let (_ : Dessim.Engine.handle) =
+      Dessim.Engine.schedule ~tag:"inject" engine ~at f
+    in
+    ()
+  in
   (* the victim's T_down *)
   let victim_origin = List.nth origins victim in
-  let (_ : Dessim.Engine.handle) =
-    Dessim.Engine.schedule ~tag:"inject" engine ~at:t_fail (fun () ->
-        Speaker.withdraw_local (speaker victim_origin) victim_prefix)
-  in
+  inject t_fail (fun () ->
+      Speaker.withdraw_local (speaker victim_origin) victim_prefix);
   (* background churn *)
   (match churn with
   | None -> ()
@@ -238,33 +153,14 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
           let prefix = List.nth prefix_list flapper in
           for k = 0 to c.cycles - 1 do
             let base = t_fail +. (float_of_int k *. c.period) in
-            let (_ : Dessim.Engine.handle) =
-              Dessim.Engine.schedule ~tag:"inject" engine ~at:base (fun () ->
-                  Speaker.withdraw_local (speaker origin) prefix)
-            in
-            let (_ : Dessim.Engine.handle) =
-              Dessim.Engine.schedule ~tag:"inject" engine
-                ~at:(base +. (c.period /. 2.))
-                (fun () -> Speaker.originate (speaker origin) prefix)
-            in
-            ()
+            inject base (fun () ->
+                Speaker.withdraw_local (speaker origin) prefix);
+            inject (base +. (c.period /. 2.)) (fun () ->
+                Speaker.originate (speaker origin) prefix)
           done)
         c.flappers);
-  Dessim.Engine.run ?until:max_vtime ~max_events engine;
-  (match Obs.Bus.counters obs with
-  | Some c ->
-      Obs.Counters.add_events c (Dessim.Engine.events_executed engine);
-      Obs.Counters.observe_paths_interned c ~count:(As_path.Table.size paths)
-  | None -> ());
-  let termination =
-    if Dessim.Engine.events_executed engine >= max_events then
-      Routing_sim.Event_budget
-    else
-      match Dessim.Engine.next_live_time engine with
-      | Some _ -> Routing_sim.Vtime_budget
-      | None -> Routing_sim.Drained
-  in
-  let converged = warmup_drained && termination = Routing_sim.Drained in
+  let termination = run_phase () in
+  Network.report_counters net;
   let loop_reports =
     List.concat
       (List.mapi
@@ -277,16 +173,15 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default) ?churn
   {
     prefixes = fibs;
     loop_reports;
-    trace;
     t_fail;
     victim = victim_prefix;
     victim_convergence_end =
       (if !last_victim_send > neg_infinity then !last_victim_send else t_fail);
     victim_messages = !victim_msgs;
     background_messages = !background_msgs;
-    converged;
+    converged = warmup = Network.Drained && termination = Network.Drained;
     termination;
-    invariant_violations = Faults.Invariant.violations checker;
-    paths_interned = As_path.Table.size paths;
+    invariant_violations = Network.violations net;
+    paths_interned = As_path.Table.size (Network.paths net);
     events_executed = Dessim.Engine.events_executed engine;
   }

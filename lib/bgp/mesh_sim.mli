@@ -1,12 +1,15 @@
 (** Full-mesh multi-prefix simulation: every AS (by default) originates
-    its own prefix over one shared event stream.
+    its own prefix over one shared {!Network}.
 
     All speakers share one path arena and one {!Prefix.Table}
     (pre-interned in origin order, so prefix id = index into the origin
     list), and their Adj-RIBs are sharded by packed [(prefix_id, peer)]
     keys with one batched MRAI timer per peer — the workload the
     single-prefix study cannot express: N² routing processes contending
-    for the same per-router queues.
+    for the same per-router queues.  After the warm-up the victim
+    origin withdraws its prefix while (optionally) other origins keep
+    flapping theirs, so the victim's convergence-critical updates queue
+    behind background churn on every shared router.
 
     Observability is per prefix: [Update_sent]/[Update_recv]/
     [Originate]/[Withdrawal]/[Fib_change] events carry the prefix id,
@@ -16,14 +19,17 @@
     them.
 
     Restricted to a single origin, a run evolves identically to
-    {!Multi_sim} — same RNG stream, same event schedule, same FIB
-    histories and convergence numbers; the differential suite in
-    test/test_mesh.ml enforces this. *)
+    {!Routing_sim}'s [Tdown] — same RNG stream, same event schedule,
+    same FIB history and convergence numbers; test/test_differential.ml
+    enforces this. *)
 
-type churn = Multi_sim.churn = {
+type churn = {
   period : float;
-  cycles : int;
-  flappers : int list;
+      (** a flapping origin withdraws its prefix, re-announces it half
+          a period later, and repeats *)
+  cycles : int;  (** number of withdraw/re-announce cycles, from the
+                     failure time *)
+  flappers : int list;  (** indices into [origins] of the flapping ones *)
 }
 
 type outcome = {
@@ -32,11 +38,8 @@ type outcome = {
           list index is the prefix id used in trace events) *)
   loop_reports : (Prefix.t * Loopscan.Scanner.report) list;
       (** per-prefix streaming loop scans over the post-warm-up phase;
-          empty when the warm-up blew its event budget (the scanners
-          need a loop-free converged state to start from) *)
-  trace : Netcore.Trace.t;
-      (** message/process/link logs (all prefixes combined); its FIB
-          history is unused — per-prefix histories are above *)
+          empty when the warm-up did not drain (the scanners need a
+          loop-free converged state to start from) *)
   t_fail : float;
   victim : Prefix.t;
   victim_convergence_end : float;
@@ -45,10 +48,12 @@ type outcome = {
   victim_messages : int;
   background_messages : int;
   converged : bool;
-  termination : Routing_sim.termination;
+  termination : Network.termination;
       (** how the post-failure phase ended *)
   invariant_violations : (Faults.Invariant.kind * int) list;
   paths_interned : int;
+      (** distinct AS paths interned into the run's arena (all prefixes
+          share it); see DESIGN.md §12 *)
   events_executed : int;  (** engine events over both phases *)
 }
 

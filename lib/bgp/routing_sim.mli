@@ -11,10 +11,11 @@
       warm up {e without} the route / link and then add it — and the
       simulation runs to quiescence.
 
-    The outcome carries the {!Netcore.Trace.t} (FIB history + message
-    log) that the forwarding replay and loop analysis consume, and the
-    paper's convergence measurement: convergence starts at the failure
-    and ends when the last BGP update message is sent. *)
+    The run is a script over {!Network}.  The outcome carries the
+    {!Netcore.Trace.t} (FIB history + message log) that the forwarding
+    replay and loop analysis consume, and the paper's convergence
+    measurement: convergence starts at the failure and ends when the
+    last BGP update message is sent. *)
 
 type event =
   | Tdown  (** the destination AS withdraws its prefix *)
@@ -41,8 +42,9 @@ type event =
           [t_fail] and chaos knobs arm at [t_fail], keeping warm-up
           clean *)
 
-(** Why the run stopped. *)
-type termination =
+(** Why the run stopped: {!Network.termination}, re-exported.  A run
+    whose queue empties on its [max_events]-th event is [Drained]. *)
+type termination = Network.termination =
   | Drained  (** the event queue emptied: the network converged *)
   | Event_budget  (** [max_events] fired first — a would-be hang *)
   | Vtime_budget  (** the next event lies beyond [max_vtime] *)

@@ -134,16 +134,11 @@ let fingerprint cfg =
     (Workload.flap_rate cfg.workload);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let link_key a b = if a < b then (a, b) else (b, a)
-
+(* The params, config and connectivity checks are the network's. *)
 let validate cfg =
-  Netcore.Params.validate cfg.params;
-  Bgp.Config.validate cfg.bgp;
   let n = Topo.Graph.n_nodes cfg.graph in
   if cfg.origin < 0 || cfg.origin >= n then
     invalid_arg "Churn.Driver: origin out of range";
-  if not (Topo.Graph.is_connected cfg.graph) then
-    invalid_arg "Churn.Driver: graph must be connected";
   if cfg.bgp.Bgp.Config.damping <> None then
     invalid_arg
       "Churn.Driver: route-flap damping holds timer state that cannot be \
@@ -201,31 +196,6 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
     | None, Some s -> Obs.Bus.create ~sink:s ~counters ()
     | None, None -> Obs.Bus.create ~counters ()
   in
-  (* --- fabric: links, node processors, one shared path arena --- *)
-  let links = Hashtbl.create (Topo.Graph.n_edges cfg.graph) in
-  List.iter
-    (fun (a, b) ->
-      let link =
-        Netcore.Link.create ~a ~b ~delay:cfg.params.Netcore.Params.link_delay
-      in
-      Netcore.Link.attach_obs link obs;
-      Hashtbl.add links (link_key a b) link)
-    (Topo.Graph.edges cfg.graph);
-  let link_of a b =
-    match Hashtbl.find_opt links (link_key a b) with
-    | Some l -> l
-    | None -> invalid_arg (Printf.sprintf "Churn.Driver: no link (%d,%d)" a b)
-  in
-  (match ckpt with
-  | Some ck ->
-      Array.iter
-        (fun (a, b) -> Netcore.Link.fail (link_of a b))
-        ck.Checkpoint.links_down
-  | None -> ());
-  let node_procs =
-    Array.init n (fun i -> Netcore.Node_proc.create ~obs ~node:i ())
-  in
-  let paths = ref (Bgp.As_path.Table.create ()) in
   (* --- RNG streams: fresh splits, or the checkpointed states --- *)
   let proc_rng, workload_rng, speaker_rngs =
     match ckpt with
@@ -234,37 +204,12 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
           ck.Checkpoint.rng_workload,
           ck.Checkpoint.rng_speakers )
     | None ->
+        (* split order (each split advances the root): the speakers,
+           then the workload, then processing delays *)
         let root = Dessim.Rng.create ~seed:cfg.seed in
-        ( Dessim.Rng.split root ~label:"proc",
-          Dessim.Rng.split root ~label:"churn-workload",
-          Array.init n (fun i ->
-              Dessim.Rng.split root ~label:("speaker-" ^ string_of_int i)) )
-  in
-  let draw_proc_delay () =
-    Dessim.Rng.uniform proc_rng ~lo:cfg.params.Netcore.Params.proc_delay_min
-      ~hi:cfg.params.Netcore.Params.proc_delay_max
-  in
-  let speakers = Array.make n None in
-  let speaker i =
-    match speakers.(i) with Some s -> s | None -> assert false
-  in
-  let emit_from src ~peer msg =
-    let link = link_of src peer in
-    let withdraw =
-      match (msg : Bgp.Msg.t) with Withdraw _ -> true | Announce _ -> false
-    in
-    Obs.Bus.update_sent obs
-      ~time:(Dessim.Engine.now engine)
-      ~src ~dst:peer ~withdraw;
-    let deliver () =
-      Netcore.Node_proc.submit node_procs.(peer) ~engine
-        ~delay:(draw_proc_delay ()) ~work:(fun () ->
-          Obs.Bus.update_recv obs
-            ~time:(Dessim.Engine.now engine)
-            ~node:peer ~from:src ~withdraw;
-          Bgp.Speaker.handle_msg (speaker peer) ~from:src msg)
-    in
-    ignore (Netcore.Link.send link ~engine ~from:src ~deliver : bool)
+        let speakers = Bgp.Network.speaker_rngs root ~n in
+        let workload = Dessim.Rng.split root ~label:"churn-workload" in
+        (Dessim.Rng.split root ~label:"proc", workload, speakers)
   in
   let prefix = Bgp.Prefix.make ~origin:cfg.origin () in
   (* --- bounded forwarding-state mirror + streaming scanner feed --- *)
@@ -279,7 +224,7 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
   in
   let scan = ref (match ckpt with Some ck -> Some ck.Checkpoint.scan | None -> None) in
   let epoch_fib_changes = ref 0 in
-  let on_next_hop_change_for node ~prefix:p ~next_hop =
+  let on_next_hop_change node ~prefix:p ~next_hop =
     assert (Bgp.Prefix.equal p prefix);
     let time = Dessim.Engine.now engine in
     (match fib_hist with
@@ -292,118 +237,40 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
     | Some s -> Loopscan.Stream.observe ~obs s ~time ~node ~next_hop
     | None -> ()
   in
-  for i = 0 to n - 1 do
-    speakers.(i) <-
-      Some
-        (Bgp.Speaker.create ~obs ~paths:!paths ~engine ~config:cfg.bgp
-           ~rng:speaker_rngs.(i) ~node:i
-           ~peers:(Topo.Graph.neighbors cfg.graph i)
-           ~emit:(emit_from i)
-           ~on_next_hop_change:(on_next_hop_change_for i)
-           ())
-  done;
+  let net =
+    Bgp.Network.create ~params:cfg.params ~config:cfg.bgp ~obs ~engine
+      ~graph:cfg.graph
+      ~origins:[ (cfg.origin, prefix) ]
+      ~proc_rng ~speaker_rngs ~on_next_hop_change ()
+  in
+  let speaker = Bgp.Network.speaker net in
   (match ckpt with
   | Some ck ->
+      Array.iter
+        (fun (a, b) -> Netcore.Link.fail (Bgp.Network.link net a b))
+        ck.Checkpoint.links_down;
       Array.iteri
         (fun i snap -> Bgp.Speaker.restore (speaker i) snap)
         ck.Checkpoint.speakers
   | None -> ());
-  (* --- fault primitives (mirroring the one-shot simulator's) --- *)
-  let do_link_fail a b =
-    let link = link_of a b in
-    if Netcore.Link.is_up link then begin
-      Netcore.Link.fail link;
-      Obs.Bus.link_state obs ~time:(Dessim.Engine.now engine) ~a ~b ~up:false;
-      Bgp.Speaker.session_down (speaker a) ~peer:b;
-      Bgp.Speaker.session_down (speaker b) ~peer:a
-    end
-  in
-  let do_link_recover a b =
-    let link = link_of a b in
-    if not (Netcore.Link.is_up link) then begin
-      Netcore.Link.restore link;
-      Obs.Bus.link_state obs ~time:(Dessim.Engine.now engine) ~a ~b ~up:true;
-      Bgp.Speaker.session_up (speaker a) ~peer:b;
-      Bgp.Speaker.session_up (speaker b) ~peer:a
-    end
-  in
-  let live_neighbors v =
-    List.filter
-      (fun u -> Netcore.Link.is_up (link_of u v))
-      (Topo.Graph.neighbors cfg.graph v)
-  in
-  let do_node_crash v =
-    if Bgp.Speaker.alive (speaker v) then begin
-      Bgp.Speaker.crash (speaker v);
-      List.iter
-        (fun u -> Bgp.Speaker.session_down (speaker u) ~peer:v)
-        (live_neighbors v)
-    end
-  in
-  let do_node_restart v =
-    if not (Bgp.Speaker.alive (speaker v)) then begin
-      Bgp.Speaker.restart (speaker v);
-      List.iter
-        (fun u ->
-          if Bgp.Speaker.alive (speaker u) then begin
-            Bgp.Speaker.session_up (speaker v) ~peer:u;
-            Bgp.Speaker.session_up (speaker u) ~peer:v
-          end)
-        (live_neighbors v);
-      if v = cfg.origin then Bgp.Speaker.originate (speaker v) prefix
-    end
-  in
-  let do_session_reset a b =
-    if Netcore.Link.is_up (link_of a b) then begin
-      Bgp.Speaker.session_down (speaker a) ~peer:b;
-      Bgp.Speaker.session_down (speaker b) ~peer:a;
-      Bgp.Speaker.session_up (speaker a) ~peer:b;
-      Bgp.Speaker.session_up (speaker b) ~peer:a
-    end
-  in
   let apply_step = function
-    | Workload.Fault (Faults.Scenario.Link_fail (a, b)) -> do_link_fail a b
-    | Workload.Fault (Faults.Scenario.Link_recover (a, b)) ->
-        do_link_recover a b
-    | Workload.Fault (Faults.Scenario.Node_crash v) -> do_node_crash v
-    | Workload.Fault (Faults.Scenario.Node_restart v) -> do_node_restart v
-    | Workload.Fault (Faults.Scenario.Session_reset (a, b)) ->
-        do_session_reset a b
+    | Workload.Fault action -> Bgp.Network.apply net action
     | Workload.Origin_down ->
         Bgp.Speaker.withdraw_local (speaker cfg.origin) prefix
     | Workload.Origin_up -> Bgp.Speaker.originate (speaker cfg.origin) prefix
   in
-  (* --- chunked engine runs: wall-clock expiry and the per-epoch event
-     cap are noticed at chunk granularity; event execution itself is
-     identical to an uninterrupted run --- *)
-  let chunk = 65_536 in
+  (* --- drain one phase under the per-epoch event cap; [None] when it
+     drained, else the terminal status --- *)
   let drain ~epoch_base =
-    let out = ref `Drained in
-    let continue_ = ref true in
-    while !continue_ do
-      match Dessim.Engine.next_live_time engine with
-      | None -> continue_ := false
-      | Some _ ->
-          if Faults.Watchdog.expired watchdog then begin
-            out := `Wall;
-            continue_ := false
-          end
-          else begin
-            let executed = Dessim.Engine.events_executed engine in
-            if executed - epoch_base >= cfg.max_epoch_events then begin
-              out := `Events;
-              continue_ := false
-            end
-            else
-              Dessim.Engine.run
-                ~max_events:
-                  (Stdlib.min
-                     (epoch_base + cfg.max_epoch_events)
-                     (executed + chunk))
-                engine
-          end
-    done;
-    !out
+    let cap =
+      if cfg.max_epoch_events > max_int - epoch_base then max_int
+      else epoch_base + cfg.max_epoch_events
+    in
+    match Bgp.Network.run_phase ~watchdog net ~max_events:cap with
+    | Bgp.Network.Drained -> None
+    | Bgp.Network.Wall_budget -> Some Wall_expired
+    | Bgp.Network.Event_budget | Bgp.Network.Vtime_budget (* no [until] *) ->
+        Some Event_limit
   in
   (* --- bookkeeping carried across epochs --- *)
   let completed = ref (match ckpt with Some ck -> ck.Checkpoint.epoch | None -> 0) in
@@ -419,9 +286,10 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
     credited := executed
   in
   let cum_events () = events_base + Dessim.Engine.events_executed engine in
-  let arena_peak = ref (Bgp.As_path.Table.size !paths) in
+  let arena_size () = Bgp.As_path.Table.size (Bgp.Network.paths net) in
+  let arena_peak = ref (arena_size ()) in
   let note_arena () =
-    let size = Bgp.As_path.Table.size !paths in
+    let size = arena_size () in
     Obs.Counters.observe_paths_interned counters ~count:size;
     if size > !arena_peak then arena_peak := size
   in
@@ -454,18 +322,11 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
       q
     in
     for i = 0 to n - 1 do
-      Bgp.Speaker.remap_paths (speaker i) ~f;
-      Bgp.Speaker.set_path_table (speaker i) fresh
+      Bgp.Speaker.remap_paths (speaker i) ~f
     done;
-    paths := fresh
+    Bgp.Network.set_path_table net fresh
   in
   let write_checkpoint dir =
-    let links_down =
-      Hashtbl.to_seq links |> List.of_seq
-      |> List.filter_map (fun (key, link) ->
-             if Netcore.Link.is_up link then None else Some key)
-      |> List.sort compare |> Array.of_list
-    in
     let scan_state =
       match !scan with Some s -> s | None -> assert false
     in
@@ -478,7 +339,7 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
         events = cum_events ();
         chain = !chain;
         idle_epochs = !idle;
-        links_down;
+        links_down = Bgp.Network.links_down net;
         speakers =
           Array.init n (fun i -> Bgp.Speaker.snapshot (speaker i));
         fib = Array.copy fib_now;
@@ -500,15 +361,8 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
   (match ckpt with
   | Some _ -> ()
   | None ->
-      let (_ : Dessim.Engine.handle) =
-        Dessim.Engine.schedule ~tag:"originate" engine
-          ~at:(Dessim.Engine.now engine)
-          (fun () -> Bgp.Speaker.originate (speaker cfg.origin) prefix)
-      in
-      (match drain ~epoch_base:0 with
-      | `Drained -> ()
-      | `Wall -> status := Some Wall_expired
-      | `Events -> status := Some Event_limit);
+      Bgp.Network.originate_all net ~at:(Dessim.Engine.now engine);
+      status := drain ~epoch_base:0;
       scan_begin := Dessim.Engine.now engine;
       if !status = None then begin
         scan :=
@@ -537,9 +391,8 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
           ())
         steps;
       match drain ~epoch_base with
-      | `Wall -> status := Some Wall_expired
-      | `Events -> status := Some Event_limit
-      | `Drained ->
+      | Some _ as terminal -> status := terminal
+      | None ->
           completed := epoch;
           let epoch_digest =
             if cfg.digest then begin
@@ -590,7 +443,7 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
                     (match !scan with
                     | Some s -> Loopscan.Stream.live_loops s
                     | None -> 0);
-                  ei_arena_size = Bgp.As_path.Table.size !paths;
+                  ei_arena_size = arena_size ();
                   ei_compacted = compacted;
                   ei_checkpoint = ckpt_path;
                   ei_digest = epoch_digest;
@@ -627,8 +480,8 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
       (if cfg.record_loops then Some (Loopscan.Stream.report scan_state)
        else None);
     counters = final_counters;
-    arena_size = Bgp.As_path.Table.size !paths;
-    arena_words = Bgp.As_path.Table.words !paths;
+    arena_size = arena_size ();
+    arena_words = Bgp.As_path.Table.words (Bgp.Network.paths net);
     arena_peak = !arena_peak;
     last_checkpoint = !last_ckpt;
     fib_history = fib_hist;

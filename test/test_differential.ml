@@ -1,13 +1,16 @@
-(* Differential lockdown of the interned-path refactor (DESIGN.md §12).
+(* Differential lockdown of the single-prefix path (DESIGN.md §12, §15).
 
-   Two independent simulators answer the same question for a single
-   prefix: [Routing_sim.run ~event:Tdown] and
-   [Multi_sim.run ~origins:[o] ~victim:0] perform identical event
-   schedules (same RNG split order, same originate/inject times, same
-   link set), so their FIB histories and forwarding-loop reports must
-   match change for change.  Any divergence — a missed intern, an
-   arena-dependent comparison, an ordering change in the decision
-   process — shows up here before it shows up in a golden digest.
+   Two scripts over the one [Bgp.Network] answer the same question for
+   a single prefix: [Routing_sim.run ~event:Tdown] and
+   [Mesh_sim.run ~origins:[o] ~victim:0] perform identical event
+   schedules (same RNG split order, same originate/inject times), so
+   their FIB histories must match change for change, and the mesh's
+   streamed loop report must equal a post-hoc scan of Routing_sim's
+   history — the two simulators AND the two scanner implementations
+   agree.  Any divergence — a missed intern, an arena-dependent
+   comparison, an ordering change in the decision process, a shared
+   prefix table that behaves differently from a private one — shows up
+   here before it shows up in a golden digest.
 
    The second half pins the arena itself with QCheck properties against
    the obvious list model. *)
@@ -33,23 +36,38 @@ let loops ~fib ~origin ~from =
   let r = Loopscan.Scanner.scan ~fib ~origin ~from () in
   List.map loop_repr r.loops
 
-(* --- Routing_sim vs Multi_sim on one prefix --- *)
+(* --- Routing_sim vs Mesh_sim on one prefix --- *)
 
 let check_single_prefix_equivalence ~name ~graph ~origin ~seed =
   let rs = Bgp.Routing_sim.run ~graph ~origin ~event:Tdown ~seed () in
-  let ms = Bgp.Multi_sim.run ~graph ~origins:[ origin ] ~victim:0 ~seed () in
-  let ms_fib =
-    match ms.prefixes with
-    | [ (_, fib) ] -> fib
-    | l -> Alcotest.fail (fmt "%s: %d prefixes, want 1" name (List.length l))
+  let ms = Bgp.Mesh_sim.run ~graph ~origins:[ origin ] ~victim:0 ~seed () in
+  let ms_fib, streamed =
+    match (ms.prefixes, ms.loop_reports) with
+    | [ (_, fib) ], [ (_, report) ] -> (fib, report)
+    | l, r ->
+        Alcotest.fail
+          (fmt "%s: %d prefixes and %d loop reports, want 1 each" name
+             (List.length l) (List.length r))
   in
   let rs_fib = Netcore.Trace.fib rs.trace in
   Alcotest.(check bool) (name ^ ": both converged") true
     (rs.converged && ms.converged);
+  Alcotest.(check bool)
+    (name ^ ": same termination")
+    true
+    (rs.termination = ms.termination);
+  Alcotest.(check int)
+    (name ^ ": events executed")
+    rs.events_executed ms.events_executed;
   Alcotest.(check (float 0.)) (name ^ ": t_fail") rs.t_fail ms.t_fail;
   Alcotest.(check (float 0.))
     (name ^ ": convergence end")
     rs.convergence_end ms.victim_convergence_end;
+  Alcotest.(check int)
+    (name ^ ": messages after the failure")
+    (rs.updates_after_fail + rs.withdrawals_after_fail)
+    ms.victim_messages;
+  Alcotest.(check int) (name ^ ": no background") 0 ms.background_messages;
   Alcotest.(check int)
     (name ^ ": paths interned")
     rs.paths_interned ms.paths_interned;
@@ -57,9 +75,13 @@ let check_single_prefix_equivalence ~name ~graph ~origin ~seed =
     (name ^ ": FIB change history")
     (fib_changes rs_fib) (fib_changes ms_fib);
   Alcotest.(check (list string))
-    (name ^ ": forwarding loops")
+    (name ^ ": streamed loops = post-hoc scan of Routing_sim")
     (loops ~fib:rs_fib ~origin ~from:rs.t_fail)
-    (loops ~fib:ms_fib ~origin ~from:ms.t_fail)
+    (List.map loop_repr streamed.loops);
+  Alcotest.(check bool)
+    (name ^ ": streamed report = post-hoc report")
+    true
+    (streamed = Loopscan.Scanner.scan ~fib:rs_fib ~origin ~from:rs.t_fail ())
 
 let tdown_fixture_graphs () =
   List.filter_map

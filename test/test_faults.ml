@@ -414,10 +414,10 @@ let test_strict_invariants_pass_on_scenario () =
   in
   Alcotest.(check bool) "converged" true o.converged
 
-let test_strict_invariants_pass_on_multi_sim () =
+let test_strict_invariants_pass_on_multi_prefix () =
   let graph = clique 5 in
   let o =
-    Bgp.Multi_sim.run ~graph ~origins:[ 0; 1 ] ~victim:0
+    Bgp.Mesh_sim.run ~graph ~origins:[ 0; 1 ] ~victim:0
       ~invariants:Faults.Invariant.Strict ~seed:1 ()
   in
   Alcotest.(check bool) "converged" true o.converged;
@@ -548,7 +548,7 @@ let () =
           tc "classic events" test_strict_invariants_pass_on_classic_events;
           tc "internet topology" test_strict_invariants_pass_on_internet;
           tc "scripted scenario" test_strict_invariants_pass_on_scenario;
-          tc "multi-prefix sim" test_strict_invariants_pass_on_multi_sim;
+          tc "multi-prefix sim" test_strict_invariants_pass_on_multi_prefix;
         ] );
       ( "hardened-driver",
         [

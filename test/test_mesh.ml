@@ -1,11 +1,17 @@
-(* The full-mesh differential + property wall.
+(* The full-mesh behaviour + property wall.
+
+   Behaviour: multi-origin runs ([~origins]) keep per-prefix forwarding
+   independent, account victim and background messages, flap
+   background origins and validate their inputs; one definition of
+   "drained" holds at the event cap, and the loop scanners arm only on
+   a drained warm-up.
 
    Differential: Mesh_sim restricted to one prefix must reproduce
-   Multi_sim exactly — same FIB histories, same loop reports, same
-   convergence accounting — on the golden-fixture graphs and on a
-   sweep of seeded internet graphs.  Multi_sim is in turn pinned to
-   Routing_sim by test_multi_sim, so the chain reaches the original
-   single-prefix simulation.
+   Routing_sim's T_down exactly — same FIB histories, same loop
+   reports, same convergence accounting — on small generated graphs
+   and on a sweep of seeded internet graphs with node 0 as the origin.
+   test_differential.ml runs the same comparison on the golden
+   fixtures and on stub origins.
 
    Properties: the batched per-peer MRAI releases each pending key
    exactly once per expiry and behaves like one independent timer per
@@ -15,44 +21,45 @@
 
 let fib_changes fib = Netcore.Fib_history.changes_from fib ~from:neg_infinity
 
-(* Mesh_sim with a single origin vs Multi_sim on the same graph/seed:
-   every observable result must coincide. *)
-let check_mesh_equals_multi ?churn ~graph ~origin ~seed name =
+(* Mesh_sim with a single origin vs Routing_sim's T_down on the same
+   graph and seed: every observable result must coincide.  The cases
+   that call this keep their names from when the reference was a
+   separate multi-origin simulator, itself pinned to Routing_sim. *)
+let check_mesh_equals_single ?churn ~graph ~origin ~seed name =
   let mesh =
     Bgp.Mesh_sim.run ?churn ~graph ~origins:[ origin ] ~victim:0 ~seed ()
   in
-  let multi =
-    Bgp.Multi_sim.run ?churn ~graph ~origins:[ origin ] ~victim:0 ~seed ()
+  let single =
+    Bgp.Routing_sim.run ~graph ~origin ~event:Bgp.Routing_sim.Tdown ~seed ()
   in
-  Alcotest.(check (float 0.)) (name ^ ": t_fail") multi.t_fail mesh.t_fail;
+  Alcotest.(check (float 0.)) (name ^ ": t_fail") single.t_fail mesh.t_fail;
   Alcotest.(check (float 0.))
     (name ^ ": convergence end")
-    multi.victim_convergence_end mesh.victim_convergence_end;
+    single.convergence_end mesh.victim_convergence_end;
   Alcotest.(check int)
     (name ^ ": victim messages")
-    multi.victim_messages mesh.victim_messages;
-  Alcotest.(check int)
-    (name ^ ": background messages")
-    multi.background_messages mesh.background_messages;
-  Alcotest.(check bool) (name ^ ": converged") multi.converged mesh.converged;
+    (single.updates_after_fail + single.withdrawals_after_fail)
+    mesh.victim_messages;
+  Alcotest.(check int) (name ^ ": no background") 0 mesh.background_messages;
+  Alcotest.(check bool) (name ^ ": converged") single.converged mesh.converged;
   Alcotest.(check bool)
     (name ^ ": termination")
     true
-    (mesh.termination = multi.termination);
+    (mesh.termination = single.termination);
   Alcotest.(check int)
     (name ^ ": paths interned")
-    multi.paths_interned mesh.paths_interned;
+    single.paths_interned mesh.paths_interned;
   let mesh_fib = snd (List.hd mesh.prefixes) in
-  let multi_fib = snd (List.hd multi.prefixes) in
+  let single_fib = Netcore.Trace.fib single.trace in
   Alcotest.(check bool)
     (name ^ ": FIB histories identical")
     true
-    (fib_changes mesh_fib = fib_changes multi_fib);
-  (* the mesh's streaming loop scan vs a post-hoc scan of Multi_sim's
+    (fib_changes mesh_fib = fib_changes single_fib);
+  (* the mesh's streaming loop scan vs a post-hoc scan of Routing_sim's
      own history — the two simulations AND the two scanner
      implementations must agree *)
   let posthoc =
-    Loopscan.Scanner.scan ~fib:multi_fib ~origin ~from:multi.t_fail ()
+    Loopscan.Scanner.scan ~fib:single_fib ~origin ~from:single.t_fail ()
   in
   match mesh.loop_reports with
   | [ (_, streamed) ] ->
@@ -63,16 +70,168 @@ let check_mesh_equals_multi ?churn ~graph ~origin ~seed name =
       Alcotest.failf "%s: expected one loop report, got %d" name
         (List.length reports)
 
+(* --- multi-origin behaviour --- *)
+
+let clique6 = Topo.Generators.clique 6
+
+let run ?churn ~origins ~victim () =
+  Bgp.Mesh_sim.run ?churn ~origins ~graph:clique6 ~victim ~seed:1 ()
+
+let test_all_prefixes_converge () =
+  let o = run ~origins:[ 0; 1; 2 ] ~victim:0 () in
+  Alcotest.(check bool) "converged" true o.converged;
+  Alcotest.(check int) "three prefixes" 3 (List.length o.prefixes);
+  (* before the failure every node routes every prefix *)
+  let before = o.t_fail -. 1. in
+  List.iter
+    (fun (prefix, fib) ->
+      let origin = Bgp.Prefix.origin prefix in
+      List.iter
+        (fun v ->
+          if v <> origin then
+            Alcotest.(check bool)
+              (Printf.sprintf "node %d routes %d" v origin)
+              true
+              (Netcore.Fib_history.lookup fib ~node:v ~time:before <> None))
+        (Topo.Graph.nodes clique6))
+    o.prefixes
+
+let test_victim_tdown_only_hits_victim () =
+  let o = run ~origins:[ 0; 1; 2 ] ~victim:1 () in
+  let late = o.victim_convergence_end +. 100. in
+  List.iter
+    (fun (prefix, fib) ->
+      let origin = Bgp.Prefix.origin prefix in
+      let routable =
+        List.exists
+          (fun v ->
+            v <> origin
+            && Netcore.Fib_history.lookup fib ~node:v ~time:late <> None)
+          (Topo.Graph.nodes clique6)
+      in
+      if Bgp.Prefix.equal prefix o.victim then
+        Alcotest.(check bool) "victim unroutable" false routable
+      else Alcotest.(check bool) "bystander intact" true routable)
+    o.prefixes
+
+let test_victim_accounting () =
+  let o = run ~origins:[ 0; 3 ] ~victim:0 () in
+  Alcotest.(check bool) "victim messages flowed" true (o.victim_messages > 0);
+  Alcotest.(check bool) "positive convergence" true
+    (Bgp.Mesh_sim.convergence_time o > 0.);
+  Alcotest.(check int) "quiet background" 0 o.background_messages
+
+let test_churn_generates_background_traffic () =
+  let churn = { Bgp.Mesh_sim.period = 20.; cycles = 3; flappers = [ 1 ] } in
+  let o = run ~churn ~origins:[ 0; 1 ] ~victim:0 () in
+  Alcotest.(check bool) "background messages" true (o.background_messages > 0);
+  Alcotest.(check bool) "still converges" true o.converged
+
+let test_matches_single_prefix_sim () =
+  (* with a single prefix the multi-origin path must reproduce the
+     single-prefix simulation exactly (same seed, same draws, same
+     schedule) *)
+  check_mesh_equals_single ~graph:(Topo.Generators.clique 5) ~origin:0
+    ~seed:3 "clique5 seed 3"
+
+let test_deterministic () =
+  let a = run ~origins:[ 0; 2; 4 ] ~victim:0 () in
+  let b = run ~origins:[ 0; 2; 4 ] ~victim:0 () in
+  Alcotest.(check (float 0.)) "conv" (Bgp.Mesh_sim.convergence_time a)
+    (Bgp.Mesh_sim.convergence_time b);
+  Alcotest.(check int) "victim msgs" a.victim_messages b.victim_messages
+
+let raises f =
+  try
+    ignore (f () : Bgp.Mesh_sim.outcome);
+    false
+  with Invalid_argument _ -> true
+
+let test_churn_validation () =
+  let flaps churn () = run ~churn ~origins:[ 0; 1 ] ~victim:0 () in
+  let churn period cycles flapper =
+    { Bgp.Mesh_sim.period; cycles; flappers = [ flapper ] }
+  in
+  Alcotest.(check bool) "victim cannot flap" true
+    (raises (flaps (churn 10. 1 0)));
+  Alcotest.(check bool) "bad period" true (raises (flaps (churn 0. 1 1)));
+  Alcotest.(check bool) "negative cycles" true
+    (raises (flaps (churn 10. (-1) 1)));
+  Alcotest.(check bool) "bad flapper index" true
+    (raises (flaps (churn 10. 1 9)))
+
+let test_origin_validation () =
+  Alcotest.(check bool) "empty origins" true
+    (raises (fun () -> run ~origins:[] ~victim:0 ()));
+  Alcotest.(check bool) "duplicate origins" true
+    (raises (fun () -> run ~origins:[ 0; 0 ] ~victim:0 ()));
+  Alcotest.(check bool) "origin out of range" true
+    (raises (fun () -> run ~origins:[ 0; 6 ] ~victim:0 ()));
+  Alcotest.(check bool) "victim out of range" true
+    (raises (fun () -> run ~origins:[ 0; 1 ] ~victim:5 ()));
+  Alcotest.(check bool) "non-positive max_events" true
+    (raises (fun () ->
+         Bgp.Mesh_sim.run ~max_events:0 ~graph:clique6 ~victim:0 ~seed:1 ()));
+  Alcotest.(check bool) "NaN max_vtime" true
+    (raises (fun () ->
+         Bgp.Mesh_sim.run ~max_vtime:Float.nan ~graph:clique6 ~victim:0 ~seed:1
+           ()))
+
+(* --- budgets --- *)
+
+(* A run that drains on exactly its last allowed event is drained, not
+   a would-be hang: the queue is looked at before the event count. *)
+let test_drained_at_the_cap () =
+  let graph = Topo.Generators.clique 5 in
+  let mesh ?max_events () =
+    Bgp.Mesh_sim.run ?max_events ~graph ~victim:0 ~seed:1 ()
+  in
+  let e = (mesh ()).events_executed in
+  let under = mesh ~max_events:(e - 1) () in
+  Alcotest.(check string) "E-1: event budget" "event-budget"
+    (Bgp.Routing_sim.termination_name under.termination);
+  Alcotest.(check bool) "E-1: not converged" false under.converged;
+  List.iter
+    (fun cap ->
+      let o = mesh ~max_events:cap () in
+      Alcotest.(check string)
+        (Printf.sprintf "cap E%+d: drained" (cap - e))
+        "drained"
+        (Bgp.Routing_sim.termination_name o.termination);
+      Alcotest.(check bool)
+        (Printf.sprintf "cap E%+d: converged" (cap - e))
+        true o.converged;
+      Alcotest.(check int) "same events" e o.events_executed)
+    [ e; e + 1 ]
+
+(* The scanners need the converged warm-up state; a warm-up cut by the
+   virtual-time budget did not drain, so nothing is scanned. *)
+let test_no_scan_after_undrained_warmup () =
+  List.iter
+    (fun (name, graph) ->
+      let o = Bgp.Mesh_sim.run ~max_vtime:5. ~graph ~victim:0 ~seed:1 () in
+      Alcotest.(check string) (name ^ ": vtime budget") "vtime-budget"
+        (Bgp.Routing_sim.termination_name o.termination);
+      Alcotest.(check bool) (name ^ ": not converged") false o.converged;
+      Alcotest.(check int) (name ^ ": no loop reports") 0
+        (List.length o.loop_reports))
+    [
+      ("clique-5", Topo.Generators.clique 5);
+      ("internet-29", Topo.Internet.generate ~seed:1 29);
+    ]
+
+(* --- differential --- *)
+
 let test_differential_golden_graphs () =
-  check_mesh_equals_multi ~graph:(Topo.Generators.clique 5) ~origin:0 ~seed:1
-    "clique5";
-  check_mesh_equals_multi ~graph:(Topo.Generators.b_clique 5) ~origin:0 ~seed:1
-    "bclique5";
-  check_mesh_equals_multi ~graph:(Topo.Generators.chain 6) ~origin:0 ~seed:1
+  check_mesh_equals_single ~graph:(Topo.Generators.clique 5) ~origin:0
+    ~seed:1 "clique5";
+  check_mesh_equals_single ~graph:(Topo.Generators.b_clique 5) ~origin:0
+    ~seed:1 "bclique5";
+  check_mesh_equals_single ~graph:(Topo.Generators.chain 6) ~origin:0 ~seed:1
     "chain6";
-  (* background churn flows through the same injection schedule *)
-  check_mesh_equals_multi
-    ~churn:{ Bgp.Multi_sim.period = 20.; cycles = 2; flappers = [] }
+  (* a churn schedule with no flappers injects nothing *)
+  check_mesh_equals_single
+    ~churn:{ Bgp.Mesh_sim.period = 20.; cycles = 2; flappers = [] }
     ~graph:(Topo.Generators.clique 5) ~origin:0 ~seed:2 "clique5-churn"
 
 let test_differential_internet_sweep () =
@@ -82,7 +241,7 @@ let test_differential_internet_sweep () =
       List.iter
         (fun seed ->
           let graph = Topo.Internet.generate ~seed size in
-          check_mesh_equals_multi ~graph ~origin:0 ~seed
+          check_mesh_equals_single ~graph ~origin:0 ~seed
             (Printf.sprintf "internet-%d seed %d" size seed))
         [ 1; 2; 3; 4 ])
     [ 10; 12; 14; 16; 18 ]
@@ -277,6 +436,27 @@ let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "mesh"
     [
+      ( "behaviour",
+        [
+          tc "all prefixes converge" test_all_prefixes_converge;
+          tc "T_down only hits the victim" test_victim_tdown_only_hits_victim;
+          tc "victim accounting" test_victim_accounting;
+          tc "churn generates background traffic"
+            test_churn_generates_background_traffic;
+          tc "matches the single-prefix sim" test_matches_single_prefix_sim;
+          tc "deterministic" test_deterministic;
+        ] );
+      ( "validation",
+        [
+          tc "churn validation" test_churn_validation;
+          tc "origin validation" test_origin_validation;
+        ] );
+      ( "budgets",
+        [
+          tc "drained on its last allowed event" test_drained_at_the_cap;
+          tc "no scan after an undrained warm-up"
+            test_no_scan_after_undrained_warmup;
+        ] );
       ( "differential",
         [
           tc "mesh(1 prefix) = multi on golden graphs"

@@ -192,6 +192,32 @@ let test_validation () =
     (raises (fun () ->
          run ~graph:disconnected ~origin:0 ~event:Bgp.Routing_sim.Tdown ~seed:1 ()))
 
+(* One definition of "drained": a run whose queue empties on exactly its
+   last allowed event is drained and converged, with or without a
+   watchdog (which runs the engine in chunks); one event fewer is a
+   would-be hang. *)
+let test_drained_at_the_cap () =
+  let graph = Topo.Generators.clique 5 in
+  List.iter
+    (fun (label, watchdog) ->
+      let tdown ?max_events () =
+        Bgp.Routing_sim.run ?max_events ?watchdog ~graph ~origin:0
+          ~event:Bgp.Routing_sim.Tdown ~seed:1 ()
+      in
+      let e = (tdown ()).events_executed in
+      let check cap termination converged =
+        let o = tdown ~max_events:cap () in
+        let name = Printf.sprintf "%s, cap E%+d" label (cap - e) in
+        Alcotest.(check string) (name ^ ": termination")
+          (Bgp.Routing_sim.termination_name termination)
+          (Bgp.Routing_sim.termination_name o.termination);
+        Alcotest.(check bool) (name ^ ": converged") converged o.converged
+      in
+      check (e - 1) Bgp.Routing_sim.Event_budget false;
+      check e Bgp.Routing_sim.Drained true;
+      check (e + 1) Bgp.Routing_sim.Drained true)
+    [ ("unwatched", None); ("watched", Some Faults.Watchdog.unlimited) ]
+
 let test_tup_announces_fresh_prefix () =
   let graph = Topo.Generators.clique 6 in
   let o = run ~graph ~origin:0 ~event:Bgp.Routing_sim.Tup ~seed:1 () in
@@ -476,6 +502,8 @@ let () =
           tc "input validation" test_validation;
           tc "gao-rexford policy converges" test_gao_rexford_policy_converges;
         ] );
+      ( "budgets",
+        [ tc "drained on its last allowed event" test_drained_at_the_cap ] );
       ( "robustness",
         [
           tc "no message storm at default settings"
