@@ -634,8 +634,8 @@ let golden_cmd =
 
 (* The scale preset (EXPERIMENTS.md §"Scale sweep"): T_down and T_long
    on internet-like graphs at the Premore sizes plus 300 nodes, timing
-   the routing simulation alone.  Mirrors the bench's `scale` group so
-   the same workload is reachable without building the bench. *)
+   the routing simulation alone.  CI runs it at n=110 over seeds 1-3
+   and fails on any non-converged point. *)
 let scale_preset_sizes = [ 29; 48; 75; 110; 300 ]
 
 let run_scale_preset ~sizes ~preflight ~enhancement ~mrai ~seeds:seedl =
@@ -722,8 +722,9 @@ let run_scale_preset ~sizes ~preflight ~enhancement ~mrai ~seeds:seedl =
 (* The mesh preset (EXPERIMENTS.md §"Full-mesh recipe"): full-mesh
    multi-prefix workloads on internet-like graphs — every node
    originates its own prefix and the min-degree stub's prefix is
-   withdrawn after warm-up.  CI's mesh-smoke step runs this at small
-   sizes; the bench `mesh` group records the internet-110 point. *)
+   withdrawn after warm-up.  CI runs this at small sizes and fails on
+   any non-converged point; perfbench's mesh-churn workload covers
+   internet-110 under background flaps. *)
 let mesh_preset_sizes = [ 10; 20; 29; 48 ]
 
 let run_mesh_preset ~sizes ~preflight ~enhancement ~mrai ~seeds:seedl =

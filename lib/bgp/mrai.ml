@@ -147,6 +147,8 @@ let send_now ?(key = 0) t ~keep_pending msg =
 
 let timer_running t = t.handle <> None
 
+let key_running t key = Hashtbl.mem t.keys key
+
 let pending t =
   (* the next message an expiry will release: head of the first
      pending key's queue in fire order *)

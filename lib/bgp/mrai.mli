@@ -66,6 +66,11 @@ val timer_running : _ t -> bool
 (** Whether the shared physical timer is scheduled, i.e. at least one
     key's interval is running. *)
 
+val key_running : _ t -> int -> bool
+(** [key_running t key]: whether [key]'s own interval is running, i.e.
+    an {!offer} for [key] would be held rather than sent at once.
+    Other keys' intervals do not count. *)
+
 val pending : 'msg t -> 'msg option
 (** The next message an expiry will release: the head of the first
     pending key's queue in fire order. *)

@@ -244,10 +244,10 @@ let sync_peer t st peer =
   let key = Prefix.Key.pack ~id:st.pid ~peer in
   match desired_announcement t st peer with
   | Some full ->
-      (* Ghost Flushing: if the announcement is stuck behind the MRAI
-         timer and the path got longer than what the peer holds, flush
-         the stale (ghost) route with an immediate withdrawal; the
-         announcement itself still goes out on timer expiry. *)
+      (* Ghost Flushing: if the announcement is stuck behind this
+         prefix's MRAI interval and the path got longer than what the
+         peer holds, flush the stale (ghost) route with an immediate
+         withdrawal; the announcement itself still goes out on expiry. *)
       let worse_than_advertised =
         match Hashtbl.find_opt t.advertised key with
         | Some prev -> As_path.length full > As_path.length prev
@@ -255,7 +255,7 @@ let sync_peer t st peer =
       in
       if
         t.config.ghost_flushing
-        && Mrai.timer_running out.mrai
+        && Mrai.key_running out.mrai key
         && worse_than_advertised
       then
         Mrai.send_now ~key out.mrai ~keep_pending:true (Msg.Withdraw { prefix });

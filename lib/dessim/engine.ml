@@ -77,25 +77,6 @@ let rec step t =
         | Some p -> p ~time ~tag:ev.tag ~run:ev.action);
         true
 
-let run ?until ?max_events t =
-  let budget = match max_events with None -> max_int | Some m -> m in
-  match until with
-  | None ->
-      let rec loop () = if t.executed < budget && step t then loop () in
-      loop ()
-  | Some limit ->
-      let rec loop () =
-        if
-          t.executed < budget
-          && (Event_queue.is_empty t.queue
-              || Event_queue.top_time t.queue <= limit)
-          && step t
-        then loop ()
-      in
-      loop ()
-
-let pending t = Event_queue.size t.queue
-
 (* Earliest live (non-cancelled) event time.  Cancelled heads are dead
    weight; popping them here is observationally a no-op. *)
 let rec next_live_time t =
@@ -107,5 +88,27 @@ let rec next_live_time t =
         next_live_time t
       end
       else Some time
+
+let run ?until ?max_events t =
+  let budget = match max_events with None -> max_int | Some m -> m in
+  match until with
+  | None ->
+      let rec loop () = if t.executed < budget && step t then loop () in
+      loop ()
+  | Some limit ->
+      (* test the next live event, not the raw head: [step] skips a
+         cancelled head and would fire whatever lies behind it *)
+      let rec loop () =
+        if
+          t.executed < budget
+          && (match next_live_time t with
+             | Some time -> time <= limit
+             | None -> false)
+          && step t
+        then loop ()
+      in
+      loop ()
+
+let pending t = Event_queue.size t.queue
 
 let events_executed t = t.executed

@@ -29,6 +29,16 @@ let of_edge_list text =
             invalid_arg
               "Topo_io.of_edge_list: first line must be 'n <nodes>'"
       in
+      (* every simulator needs a connected graph, which has at least
+         n - 1 edges: checking that first bounds the allocation below by
+         the input's length *)
+      let n_edges = List.length rest in
+      if n > n_edges + 1 then
+        invalid_arg
+          (Printf.sprintf
+             "Topo_io.of_edge_list: %d nodes but %d edges; a connected graph \
+              needs at least n - 1"
+             n n_edges);
       let parse_edge line =
         match
           String.split_on_char ' ' (String.trim line)

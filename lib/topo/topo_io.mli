@@ -10,7 +10,10 @@ val to_edge_list : Graph.t -> string
 
 val of_edge_list : string -> Graph.t
 (** @raise Invalid_argument on malformed input (missing header,
-    unparsable line, or edge constraints violated by {!Graph.create}). *)
+    unparsable line, fewer than [n - 1] edge lines — too few for a
+    connected graph — or edge constraints violated by {!Graph.create}).
+    The node count is checked before anything of size [n] is
+    allocated. *)
 
 val to_dot : ?name:string -> Graph.t -> string
 (** Graphviz rendering, for inspecting generated topologies. *)

@@ -217,6 +217,21 @@ let test_engine_until () =
   Dessim.Engine.run e;
   Alcotest.(check (list int)) "rest" [ 5; 1 ] !fired
 
+(* A cancelled event at or before [until] heading the queue must not
+   let [run] fire the live event behind it. *)
+let test_engine_until_cancelled_head () =
+  let e = Dessim.Engine.create () in
+  let fired = ref [] in
+  let h = Dessim.Engine.schedule e ~at:1. (fun () -> fired := 1 :: !fired) in
+  ignore (Dessim.Engine.schedule e ~at:5. (fun () -> fired := 5 :: !fired));
+  Dessim.Engine.cancel h;
+  Dessim.Engine.run ~until:2. e;
+  Alcotest.(check (list int)) "nothing fired" [] !fired;
+  Alcotest.(check (float 0.)) "clock stays" 0. (Dessim.Engine.now e);
+  Dessim.Engine.run e;
+  Alcotest.(check (list int)) "later event still fires" [ 5 ] !fired;
+  Alcotest.(check (float 0.)) "clock at 5" 5. (Dessim.Engine.now e)
+
 let test_engine_max_events () =
   let e = Dessim.Engine.create () in
   for i = 1 to 10 do
@@ -281,6 +296,7 @@ let () =
           tc "cancel" test_engine_cancel;
           tc "cancel after fire is no-op" test_engine_cancel_after_fire_is_noop;
           tc "run until" test_engine_until;
+          tc "run until skips a cancelled head" test_engine_until_cancelled_head;
           tc "max events" test_engine_max_events;
           tc "step" test_engine_step;
           tc "equal-time FIFO" test_engine_equal_time_fifo;

@@ -528,6 +528,28 @@ let test_mrai_is_per_prefix () =
         (Bgp.Prefix.equal prefix prefix9)
   | msgs -> Alcotest.failf "expected one announcement, got %d" (List.length msgs)
 
+(* Ghost Flushing keys on the prefix's own interval: prefix9's running
+   interval toward peer 6 must not make prefix0's longer path flush. *)
+let test_ghost_flushing_per_prefix_interval () =
+  let config =
+    Bgp.Config.of_enhancement Bgp.Enhancement.Ghost_flushing |> fun c ->
+    { c with mrai_jitter_min = 1. }
+  in
+  let h = make ~config ~node:5 ~peers:[ 4; 6 ] () in
+  announce_p h ~from:4 prefix0 [ 4; 0 ];
+  Dessim.Engine.run h.engine;
+  ignore (drain h.outbox);
+  announce_p h ~from:4 prefix9 [ 4; 9 ];
+  ignore (drain h.outbox);
+  announce_p h ~from:4 prefix0 [ 4; 7; 0 ];
+  let to_6_prefix0 =
+    List.filter
+      (fun (peer, msg) ->
+        peer = 6 && Bgp.Prefix.equal (Bgp.Msg.prefix msg) prefix0)
+      (drain h.outbox)
+  in
+  check_msgs "prefix0 to peer 6" [ ann 6 [ 5; 4; 7; 0 ] ] to_6_prefix0
+
 let test_session_down_clears_all_prefixes () =
   let h = make ~node:5 ~peers:[ 4; 6 ] () in
   announce_p h ~from:4 prefix0 [ 4; 0 ];
@@ -623,5 +645,7 @@ let () =
           tc "MRAI is per (peer, prefix)" test_mrai_is_per_prefix;
           tc "session down clears all prefixes"
             test_session_down_clears_all_prefixes;
+          tc "ghost flushing keys on the prefix's interval"
+            test_ghost_flushing_per_prefix_interval;
         ] );
     ]

@@ -268,15 +268,29 @@ let test_io_comments_and_blanks () =
   Alcotest.(check int) "edges" 2 (Topo.Graph.n_edges g)
 
 let test_io_rejects_garbage () =
+  (* rejected by the parser itself, not by an exception escaping from
+     deeper down *)
   let raises text =
     try
       ignore (Topo.Topo_io.of_edge_list text);
       false
-    with Invalid_argument _ -> true
+    with Invalid_argument msg ->
+      String.starts_with ~prefix:"Topo_io.of_edge_list:" msg
   in
   Alcotest.(check bool) "empty" true (raises "");
   Alcotest.(check bool) "no header" true (raises "0 1\n");
-  Alcotest.(check bool) "bad edge" true (raises "n 2\nzero one\n")
+  Alcotest.(check bool) "bad edge" true (raises "n 2\nzero one\n");
+  (* a node count above edges + 1 is rejected before anything of size
+     n is allocated *)
+  let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
+  let before = words () in
+  Alcotest.(check bool) "huge node count" true (raises "n 30000000\n0 1\n");
+  let allocated = words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "huge node count allocates %.0f words < 1 M" allocated)
+    true (allocated < 1e6);
+  Alcotest.(check bool) "overflowing node count" true
+    (raises "n 4611686018427387903\n0 1\n")
 
 let test_io_dot_contains_edges () =
   let g = Topo.Generators.chain 3 in
