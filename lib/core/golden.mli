@@ -33,24 +33,29 @@ val digest : fixture -> string
 val digest_line : fixture -> string
 (** ["<name> <digest>"] — the fixture-file line format. *)
 
-val mesh_name : string
-(** ["clique5-mesh"] — the full-mesh multi-prefix fixture: clique 5,
-    every node originating its own prefix, node 0's prefix withdrawn.
-    Not an {!Experiment.spec} (those are single-prefix), so it is
-    exposed through the functions below instead of {!fixtures}. *)
+type mesh_fixture = { mesh_name : string; config : Bgp.Config.t }
+(** A full-mesh multi-prefix fixture: clique 5, every node originating
+    its own prefix, node 0's prefix withdrawn, seed 1, under [config].
+    Not an {!Experiment.spec} (those are single-prefix), so mesh
+    fixtures are listed in {!mesh_fixtures} instead of {!fixtures}. *)
 
-val mesh_events : unit -> Obs.Event.t list
-(** Run the full-mesh fixture with a memory sink and return its
+val mesh_fixtures : mesh_fixture list
+(** ["clique5-mesh"] (default configuration), ["clique5-mesh-gf"]
+    (Ghost Flushing) and ["clique5-mesh-wrate-fifo"] (WRATE with the
+    [Fifo] rate limiter), all at MRAI 30 s. *)
+
+val mesh_events : mesh_fixture -> Obs.Event.t list
+(** Run a full-mesh fixture with a memory sink and return its
     per-prefix-tagged trace. *)
 
-val mesh_digest : unit -> string
-(** Hex md5 of the full-mesh fixture's JSONL trace. *)
+val mesh_digest : mesh_fixture -> string
+(** Hex md5 of a full-mesh fixture's JSONL trace. *)
 
-val mesh_digest_line : unit -> string
-(** ["clique5-mesh <digest>"]. *)
+val mesh_digest_line : mesh_fixture -> string
+(** ["<mesh_name> <digest>"]. *)
 
 val digest_lines : unit -> string list
-(** All fixture lines followed by the {!mesh_digest_line}. *)
+(** All {!fixtures} lines followed by the {!mesh_fixtures} lines. *)
 
 val parse_expected : string -> (string * string) list
 (** Parse fixture-file text (["<name> <digest>"] lines; blanks and
