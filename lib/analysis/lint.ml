@@ -40,8 +40,9 @@ let lint (scenario : Faults.Scenario.t) ~graph ~origin =
   if origin < 0 || origin >= n then
     invalid_arg "Lint.lint: origin out of range";
   let resolution = Faults.Scenario.resolution_issues scenario ~graph in
-  let _, random_clauses = Faults.Scenario.expand_deterministic scenario in
   if resolution <> [] then
+    (* no expansion: an unresolved clause (e.g. a storm count over the
+       cap) may not be expandable in bounded memory *)
     {
       issues =
         List.map
@@ -49,10 +50,15 @@ let lint (scenario : Faults.Scenario.t) ~graph ~origin =
           resolution;
       partitions = [];
       steps_analyzed = 0;
-      random_clauses;
+      random_clauses =
+        List.length
+          (List.filter
+             (function
+               | Faults.Scenario.Random_link_failures _ -> true | _ -> false)
+             scenario.specs);
     }
   else begin
-    let steps, _ = Faults.Scenario.expand_deterministic scenario in
+    let steps, random_clauses = Faults.Scenario.expand_deterministic scenario in
     let issues = ref [] in
     let issue severity code fmt =
       Printf.ksprintf

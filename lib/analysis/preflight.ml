@@ -23,14 +23,10 @@ let analyze ?max_paths ?gr_rel ?scenario ?clique ?(certified_event = false)
     Option.map (fun sc -> Lint.lint sc ~graph ~origin) scenario
   in
   let epochs =
-    match epochs with
-    | Some e -> e
-    | None -> (
-        match scenario with
-        | None -> 1
-        | Some sc ->
-            let steps, _ = Faults.Scenario.expand_deterministic sc in
-            Stdlib.max 1 (List.length steps))
+    match (epochs, lint) with
+    | Some e, _ -> e
+    | None, None -> 1
+    | None, Some l -> Stdlib.max 1 l.Lint.steps_analyzed
   in
   let bounds =
     Bounds.derive ~graph ~origin ~mrai ~params

@@ -13,9 +13,10 @@ type mode = Collapse | Fifo
    interval draws, same fire times: golden traces depend on that
    equivalence. *)
 
-(* A key appears in [keys] (and once in [order]) iff its interval is
-   running, i.e. it transmitted less than one interval ago. *)
+(* A key appears in [keys] (and once in [deadlines]) iff its interval
+   is running, i.e. it transmitted less than one interval ago. *)
 type 'msg key_state = {
+  key : int;
   mutable until : float;  (* absolute vtime the interval expires *)
   queue : 'msg Queue.t;
       (* Collapse keeps at most one element; Fifo keeps them all.  May
@@ -30,8 +31,9 @@ type 'msg t = {
   transmit : 'msg -> bool;
   on_fire : (unit -> unit) option;
   keys : (int, 'msg key_state) Hashtbl.t;
-  order : int Queue.t;
-      (* rate-limited keys in interval-start order; each key once *)
+  mutable deadlines : 'msg key_state Dessim.Event_queue.t;
+      (* running keys keyed on [until]; equal deadlines pop in push
+         (= interval-start) order *)
   mutable pending_total : int;
   mutable handle : Dessim.Engine.handle option;
   mutable timer_at : float;  (* meaningful iff [handle <> None] *)
@@ -45,11 +47,29 @@ let create ?(mode = Collapse) ?on_fire ~engine ~draw_interval ~transmit () =
     transmit;
     on_fire;
     keys = Hashtbl.create 4;
-    order = Queue.create ();
+    deadlines = Dessim.Event_queue.create ();
     pending_total = 0;
     handle = None;
     timer_at = 0.;
   }
+
+(* Transmit [st]'s first pending message that really leaves, dropping
+   the suppressed duplicates before it. *)
+let rec release t st =
+  if Queue.is_empty st.queue then false
+  else begin
+    let msg = Queue.take st.queue in
+    t.pending_total <- t.pending_total - 1;
+    t.transmit msg || release t st
+  end
+
+(* Push re-armed keys back in release order ([rearmed] is newest
+   first). *)
+let rec push_rearmed t = function
+  | [] -> ()
+  | st :: older ->
+      push_rearmed t older;
+      Dessim.Event_queue.push t.deadlines ~time:st.until st
 
 (* Keep the shared timer at the earliest deadline.  Deadlines are
    scheduled absolutely ([schedule ~at]) so a rescheduled fire lands on
@@ -75,54 +95,44 @@ let rec ensure_timer_at t ~at =
 (* Start [key]'s interval just after it transmitted. *)
 and begin_interval t key ~now =
   let until = now +. t.draw_interval () in
-  Hashtbl.replace t.keys key { until; queue = Queue.create () };
-  Queue.add key t.order;
+  let st = { key; until; queue = Queue.create () } in
+  Hashtbl.replace t.keys key st;
+  Dessim.Event_queue.push t.deadlines ~time:until st;
   ensure_timer_at t ~at:until
 
 and fire t =
   t.handle <- None;
   (match t.on_fire with None -> () | Some f -> f ());
   let now = Dessim.Engine.now t.engine in
-  (* Every expired key releases (at most) one message: drain suppressed
-     duplicates per key; a key that released re-arms its interval, a
-     key with nothing to send falls out of rate limiting.  [order] is
-     kept in interval-start order — the order per-key timers would
-     fire in — so unexpired keys keep their place at the front and
-     re-armed keys (interval starting now) move behind them. *)
-  let n = Queue.length t.order in
-  let rearmed = Queue.create () in
-  for _ = 1 to n do
-    let key = Queue.pop t.order in
-    let st = Hashtbl.find t.keys key in
-    if st.until <= now then begin
-      let rec drain () =
-        match Queue.take_opt st.queue with
-        | None -> false
-        | Some msg ->
-            t.pending_total <- t.pending_total - 1;
-            if t.transmit msg then true else drain ()
-      in
-      if drain () then begin
-        st.until <- now +. t.draw_interval ();
-        Queue.add key rearmed
-      end
-      else Hashtbl.remove t.keys key
+  (* Every expired key releases (at most) one message; a key that
+     released re-arms its interval, a key with nothing to send falls
+     out of rate limiting.  The timer sits at the earliest deadline, so
+     every expired key has [until = now] exactly and pops in
+     interval-start order — the order per-key timers would fire in.
+     Re-armed keys go back only after the loop, in release order: a
+     zero interval ends at [now] again and must wait for the next fire
+     event, not release twice in this one. *)
+  let rearmed = ref [] in
+  while
+    (not (Dessim.Event_queue.is_empty t.deadlines))
+    && Dessim.Event_queue.top_time t.deadlines <= now
+  do
+    let st = Dessim.Event_queue.pop_item t.deadlines in
+    if release t st then begin
+      st.until <- now +. t.draw_interval ();
+      rearmed := st :: !rearmed
     end
-    else Queue.add key t.order
+    else Hashtbl.remove t.keys st.key
   done;
-  Queue.transfer rearmed t.order;
-  (* re-arm at the earliest surviving deadline, if any *)
-  let next = ref infinity in
-  Queue.iter
-    (fun key ->
-      let st = Hashtbl.find t.keys key in
-      if st.until < !next then next := st.until)
-    t.order;
-  if !next < infinity then ensure_timer_at t ~at:!next
+  push_rearmed t !rearmed;
+  if not (Dessim.Event_queue.is_empty t.deadlines) then
+    ensure_timer_at t ~at:(Dessim.Event_queue.top_time t.deadlines)
 
+(* [Hashtbl.find] with [Not_found] rather than [find_opt]: the hit
+   path allocates no option. *)
 let offer ?(key = 0) t msg =
-  match Hashtbl.find_opt t.keys key with
-  | Some st ->
+  match Hashtbl.find t.keys key with
+  | st ->
       (* interval running: hold the message for the next expiry *)
       (match t.mode with
       | Collapse ->
@@ -131,15 +141,15 @@ let offer ?(key = 0) t msg =
       | Fifo -> ());
       Queue.add msg st.queue;
       t.pending_total <- t.pending_total + 1
-  | None ->
+  | exception Not_found ->
       if t.transmit msg then
         begin_interval t key ~now:(Dessim.Engine.now t.engine)
 
 let send_now ?(key = 0) t ~keep_pending msg =
   if not keep_pending then begin
-    match Hashtbl.find_opt t.keys key with
-    | None -> ()
-    | Some st ->
+    match Hashtbl.find t.keys key with
+    | exception Not_found -> ()
+    | st ->
         t.pending_total <- t.pending_total - Queue.length st.queue;
         Queue.clear st.queue
   end;
@@ -149,27 +159,11 @@ let timer_running t = t.handle <> None
 
 let key_running t key = Hashtbl.mem t.keys key
 
-let pending t =
-  (* the next message an expiry will release: head of the first
-     pending key's queue in fire order *)
-  let found = ref None in
-  (try
-     Queue.iter
-       (fun key ->
-         let st = Hashtbl.find t.keys key in
-         if not (Queue.is_empty st.queue) then begin
-           found := Queue.peek_opt st.queue;
-           raise Exit
-         end)
-       t.order
-   with Exit -> ());
-  !found
-
 let pending_count t = t.pending_total
 
 let reset t =
   Option.iter Dessim.Engine.cancel t.handle;
   t.handle <- None;
   Hashtbl.reset t.keys;
-  Queue.clear t.order;
+  t.deadlines <- Dessim.Event_queue.create ();
   t.pending_total <- 0

@@ -14,7 +14,12 @@ type 'a t = {
   mutable next_seq : int;
 }
 
-let initial_capacity = 64
+(* Small on purpose: every MRAI limiter owns a queue of its running
+   keys, and most hold one key, so a large first allocation would
+   dominate their footprint.  The engine's own queue reaches its
+   working size in a few doublings, and heap order does not depend on
+   capacity. *)
+let initial_capacity = 4
 
 (* Filler for slots at or above [size].  Such slots are never read as
    items (every traversal is bounded by [size]), they only need some

@@ -71,11 +71,17 @@ val make : ?name:string -> ?msg_loss:float -> ?msg_dup:float -> spec list -> t
 val name : t -> string
 (** The explicit name, or the {!to_string} rendering. *)
 
+val max_storm_count : int
+(** [100_000]: the largest storm count a scenario resolves with.  A
+    storm expands to two steps per cycle, so the cap bounds what
+    {!compile} allocates. *)
+
 val resolution_issues : t -> graph:Topo.Graph.t -> string list
 (** Static resolution of the scenario against a concrete topology:
     every referenced link must be a graph edge (with in-range
     endpoints), every node id in range, times finite and nonnegative,
-    storm periods positive, random draws not larger than the edge set.
+    storm periods positive, storm counts in [1, max_storm_count],
+    random draws not larger than the edge set.
     Returns {e all} problems (empty list = valid) — the static
     pre-flight linter builds on this, and {!validate} raises on the
     first entry. *)

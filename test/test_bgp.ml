@@ -417,8 +417,7 @@ let test_fifo_pending_count () =
   ignore (Dessim.Engine.schedule engine ~at:1. (fun () -> Bgp.Mrai.offer mrai "b"));
   ignore (Dessim.Engine.schedule engine ~at:2. (fun () -> Bgp.Mrai.offer mrai "c"));
   Dessim.Engine.run ~until:5. engine;
-  Alcotest.(check int) "two queued" 2 (Bgp.Mrai.pending_count mrai);
-  Alcotest.(check bool) "head is b" true (Bgp.Mrai.pending mrai = Some "b")
+  Alcotest.(check int) "two queued" 2 (Bgp.Mrai.pending_count mrai)
 
 let test_fifo_send_now_clears_queue () =
   let engine, mrai, sent = fifo_harness ~interval:10. () in
@@ -430,6 +429,33 @@ let test_fifo_send_now_clears_queue () =
   Dessim.Engine.run engine;
   Alcotest.(check bool) "queue superseded" true
     (sent () = [ ("a", 0.); ("w", 2.) ])
+
+let test_fifo_zero_interval_one_release_per_fire () =
+  (* A zero interval re-arms its key at the same instant, but the next
+     release still waits for the next fire event: one message per
+     expiry, one engine event per release. *)
+  let engine = Dessim.Engine.create () in
+  let log = ref [] in
+  let fires = ref 0 in
+  let mrai =
+    Bgp.Mrai.create ~mode:Bgp.Mrai.Fifo ~engine
+      ~on_fire:(fun () ->
+        incr fires;
+        log := Printf.sprintf "fire%d" !fires :: !log)
+      ~draw_interval:(fun () -> 0.)
+      ~transmit:(fun msg ->
+        log := msg :: !log;
+        true)
+      ()
+  in
+  List.iter (Bgp.Mrai.offer mrai) [ "a"; "b"; "c" ];
+  Dessim.Engine.run engine;
+  Alcotest.(check (list string))
+    "one release per fire"
+    [ "a"; "fire1"; "b"; "fire2"; "c"; "fire3" ]
+    (List.rev !log);
+  Alcotest.(check int) "three engine events" 3
+    (Dessim.Engine.events_executed engine)
 
 let prop_mrai_spacing =
   (* Whatever the offer schedule, actual transmissions to a peer are
@@ -508,6 +534,8 @@ let () =
             test_fifo_preserves_intermediate_states;
           tc "fifo pending count" test_fifo_pending_count;
           tc "fifo send_now clears the queue" test_fifo_send_now_clears_queue;
+          tc "fifo zero interval: one release per fire"
+            test_fifo_zero_interval_one_release_per_fire;
           QCheck_alcotest.to_alcotest prop_mrai_spacing;
         ] );
     ]

@@ -191,6 +191,54 @@ let test_scenario_compile_storm () =
         (11., S.Link_recover (0, 1));
       ])
 
+let test_scenario_storm_count_capped () =
+  let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
+  List.iter
+    (fun input ->
+      let t = parse_ok input in
+      let before = words () in
+      let msg =
+        try
+          ignore
+            (S.compile t ~graph:ring5 ~rng:(Dessim.Rng.create ~seed:1)
+              : S.step list);
+          None
+        with Invalid_argument m -> Some m
+      in
+      let allocated = words () -. before in
+      Alcotest.(check bool)
+        (input ^ ": compile rejects the storm count")
+        true
+        (match msg with
+        | Some m -> String.starts_with ~prefix:"Scenario: storm count" m
+        | None -> false);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: rejected in %.0f words < 1 M" input allocated)
+        true (allocated < 1e6);
+      (* the static linter reports it too, without expanding the storm *)
+      let r = Analysis.Lint.lint t ~graph:ring5 ~origin:0 in
+      Alcotest.(check bool)
+        (input ^ ": lint reports the cap")
+        true
+        (List.exists
+           (fun (i : Analysis.Lint.issue) ->
+             String.starts_with ~prefix:"Scenario: storm count" i.message)
+           r.issues))
+    [ "storm@1:0-1,0.1,20000000"; "storm@1:0-1,0.1,4611686018427387903" ];
+  Alcotest.(check (list string)) "a count at the cap resolves" []
+    (S.resolution_issues
+       (S.make
+          [
+            S.Flap_storm
+              {
+                link = (0, 1);
+                start = 0.;
+                period = 1.;
+                count = S.max_storm_count;
+              };
+          ])
+       ~graph:ring5)
+
 let test_scenario_compile_correlated () =
   let t =
     S.make
@@ -526,6 +574,7 @@ let () =
             test_scenario_resolution_issues_collects_all;
           tc "deterministic expansion" test_scenario_expand_deterministic;
           tc "storm expansion" test_scenario_compile_storm;
+          tc "storm count capped" test_scenario_storm_count_capped;
           tc "correlated expansion" test_scenario_compile_correlated;
           tc "random draws deterministic"
             test_scenario_compile_random_deterministic;

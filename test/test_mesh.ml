@@ -325,41 +325,62 @@ let test_key_range_extremes () =
 
 (* --- QCheck: batched MRAI vs one naive timer per key --- *)
 
-type op = { at : float; key : int; msg : int }
+type action = Offer | Send_now of bool (* keep_pending *) | Reset
 
-(* Deterministic interval, suppressed transmits for msg mod 5 = 0 (to
-   exercise the per-key drain loop), everything logged as (key, msg)
-   in transmit order. *)
-let run_batched ops =
+type op = { at : float; key : int; msg : int; action : action }
+
+(* Per-key intervals with a zero and a tie: deadlines of keys 2 and 3
+   (and of key 1 against either) coincide even when their intervals
+   started in a different order. *)
+let interval_of key = [| 0.; 5.; 10.; 10. |].(key)
+
+(* Suppressed transmits for msg mod 5 = 0 (to exercise the per-key
+   drain loop); everything sent is logged as (key, msg) in transmit
+   order. *)
+let run_batched mode ops =
   let engine = Dessim.Engine.create () in
   let sent = ref [] in
   let since_fire = Hashtbl.create 8 in
+  let direct = ref false in
+  let last_key = ref 0 in
   let mrai =
-    Bgp.Mrai.create ~engine
+    Bgp.Mrai.create ~mode ~engine
       ~on_fire:(fun () -> Hashtbl.reset since_fire)
-      ~draw_interval:(fun () -> 10.)
+      ~draw_interval:(fun () -> interval_of !last_key)
       ~transmit:(fun (key, msg) ->
         if msg mod 5 = 0 then false
         else begin
-          (* "each pending key releases at most one message per expiry" *)
-          if Hashtbl.mem since_fire key then
-            failwith "key released twice in one expiry";
-          Hashtbl.add since_fire key ();
+          (* "each pending key releases at most one message per expiry";
+             send_now bypasses the limiter and is not a release *)
+          if not !direct then begin
+            if Hashtbl.mem since_fire key then
+              failwith "key released twice in one expiry";
+            Hashtbl.add since_fire key ()
+          end;
+          last_key := key;
           sent := (key, msg) :: !sent;
           true
         end)
       ()
   in
   List.iter
-    (fun { at; key; msg } ->
+    (fun { at; key; msg; action } ->
       ignore
         (Dessim.Engine.schedule engine ~at (fun () ->
-             Bgp.Mrai.offer ~key mrai (key, msg))))
+             match action with
+             | Offer -> Bgp.Mrai.offer ~key mrai (key, msg)
+             | Send_now keep_pending ->
+                 direct := true;
+                 Bgp.Mrai.send_now ~key mrai ~keep_pending (key, msg);
+                 direct := false
+             | Reset ->
+                 Hashtbl.reset since_fire;
+                 Bgp.Mrai.reset mrai)))
     ops;
   Dessim.Engine.run engine;
   List.rev !sent
 
-let run_naive ops =
+let run_naive mode ops =
   let engine = Dessim.Engine.create () in
   let sent = ref [] in
   let timers = Hashtbl.create 8 in
@@ -368,8 +389,8 @@ let run_naive ops =
     | Some t -> t
     | None ->
         let t =
-          Bgp.Mrai.create ~engine
-            ~draw_interval:(fun () -> 10.)
+          Bgp.Mrai.create ~mode ~engine
+            ~draw_interval:(fun () -> interval_of key)
             ~transmit:(fun (key, msg) ->
               if msg mod 5 = 0 then false
               else begin
@@ -382,10 +403,16 @@ let run_naive ops =
         t
   in
   List.iter
-    (fun { at; key; msg } ->
+    (fun { at; key; msg; action } ->
       ignore
         (Dessim.Engine.schedule engine ~at (fun () ->
-             Bgp.Mrai.offer (timer_for key) (key, msg))))
+             match action with
+             | Offer -> Bgp.Mrai.offer (timer_for key) (key, msg)
+             | Send_now keep_pending ->
+                 Bgp.Mrai.send_now (timer_for key) ~keep_pending (key, msg)
+             | Reset ->
+                 (* a session reset resets every per-key limiter *)
+                 Hashtbl.iter (fun _ t -> Bgp.Mrai.reset t) timers)))
     ops;
   Dessim.Engine.run engine;
   List.rev !sent
@@ -394,25 +421,40 @@ let gen_ops =
   QCheck.Gen.(
     list_size (int_range 1 60)
       (map3
-         (fun at key msg -> { at = float_of_int at /. 2.; key; msg })
-         (int_range 0 50) (int_range 0 3) (int_range 0 30)))
+         (fun at (key, msg) action ->
+           { at = float_of_int at /. 2.; key; msg; action })
+         (int_range 0 50)
+         (pair (int_range 0 3) (int_range 0 30))
+         (frequency
+            [
+              (12, return Offer);
+              (2, return (Send_now false));
+              (2, return (Send_now true));
+              (1, return Reset);
+            ])))
 
 let arb_ops =
+  let show o =
+    match o.action with
+    | Offer -> Printf.sprintf "(%g,k%d,m%d)" o.at o.key o.msg
+    | Send_now keep ->
+        Printf.sprintf "(%g,k%d,m%d,send_now%s)" o.at o.key o.msg
+          (if keep then "+keep" else "")
+    | Reset -> Printf.sprintf "(%g,reset)" o.at
+  in
   QCheck.make
-    ~print:(fun ops ->
-      String.concat ";"
-        (List.map
-           (fun o -> Printf.sprintf "(%g,k%d,m%d)" o.at o.key o.msg)
-           ops))
+    ~print:(fun ops -> String.concat ";" (List.map show ops))
     gen_ops
 
 let prop_batched_mrai_equals_naive =
-  QCheck.Test.make ~count:200
+  QCheck.Test.make ~count:500
     ~name:"batched MRAI = one independent timer per key" arb_ops (fun ops ->
       (* engine schedule order within an instant must agree: keep the
-         offers in nondecreasing time order *)
+         ops in nondecreasing time order *)
       let ops = List.stable_sort (fun a b -> compare a.at b.at) ops in
-      run_batched ops = run_naive ops)
+      List.for_all
+        (fun mode -> run_batched mode ops = run_naive mode ops)
+        [ Bgp.Mrai.Collapse; Bgp.Mrai.Fifo ])
 
 (* --- QCheck: mesh streaming scans = N independent post-hoc scans --- *)
 
