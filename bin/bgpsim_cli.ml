@@ -284,14 +284,28 @@ let mesh_flag =
            ignored).  Prints one row per seed; $(b,--trace) records the \
            per-prefix-tagged trace of the first seed.")
 
+(* The merged counters and profile blocks after a run's table. *)
+let print_obs_blocks ~counters ~profiles =
+  (match counters with
+  | [] -> ()
+  | s :: rest ->
+      Format.printf "@.%a" Obs.Counters.pp
+        (List.fold_left Obs.Counters.merge s rest));
+  match profiles with
+  | [] -> ()
+  | p :: rest ->
+      List.iter (fun src -> Obs.Profile.merge_into ~src ~dst:p) rest;
+      Format.printf "@.%a" Obs.Profile.pp p
+
 (* One full-mesh run per seed, sequentially (the runs share nothing, but
    mesh rows report wall-clock throughput, so no --jobs overlap). *)
 let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
-    ~trace_format =
+    ~trace_format ~counters ~profile =
   let graph, victim, _event = Bgpsim.Experiment.resolve spec in
   let config =
     Bgp.Config.of_enhancement ~mrai:spec.mrai spec.enhancement
   in
+  let snapshots = ref [] and profiles = ref [] in
   let rows =
     List.mapi
       (fun i sd ->
@@ -300,7 +314,9 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
           | Some path when i = 0 -> trace_sink path trace_format
           | Some _ | None -> Obs.Sink.null
         in
-        let obs = Obs.Bus.create ~sink () in
+        let regs = if counters then Some (Obs.Counters.create ()) else None in
+        let obs = Obs.Bus.create ~sink ?counters:regs () in
+        let prof = if profile then Some (Obs.Profile.create ()) else None in
         let t0 = Unix.gettimeofday () in
         let o =
           Fun.protect
@@ -308,9 +324,13 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
             (fun () ->
               Bgp.Mesh_sim.run ~config ~max_events:spec.max_events
                 ?max_vtime:spec.max_vtime ~invariants:spec.invariants ~obs
-                ~graph ~victim ~seed:sd ())
+                ?profile:prof ~graph ~victim ~seed:sd ())
         in
         let wall = Unix.gettimeofday () -. t0 in
+        Option.iter
+          (fun r -> snapshots := Obs.Counters.snapshot r :: !snapshots)
+          regs;
+        Option.iter (fun p -> profiles := p :: !profiles) prof;
         let until = o.victim_convergence_end in
         let loops, loop_s =
           List.fold_left
@@ -349,11 +369,13 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
            "conv?"; "victim-msg"; "bg-msg"; "loops"; "loop-s";
          ]
        ~rows);
-  match trace_file with
+  (match trace_file with
   | Some path when Sys.file_exists path ->
       Format.printf "@.trace %s  digest %s@." path
         (trace_jsonl_digest path trace_format)
-  | Some _ | None -> ()
+  | Some _ | None -> ());
+  print_obs_blocks ~counters:(List.rev !snapshots)
+    ~profiles:(List.rev !profiles)
 
 let run_cmd =
   let action topology event scenario invariants max_events max_vtime preflight
@@ -372,7 +394,7 @@ let run_cmd =
       Format.printf "@.%a@." Analysis.Preflight.pp
         (Bgpsim.Experiment.analyze spec);
     if mesh then
-      run_mesh ~spec ~seeds:seedl ~trace_file ~trace_format
+      run_mesh ~spec ~seeds:seedl ~trace_file ~trace_format ~counters ~profile
     else if trace_file = None && not (counters || profile) then begin
       let robust = Bgpsim.Sweep.over_seeds_robust ~jobs spec ~seeds:seedl in
       (match robust.metrics with
@@ -422,16 +444,9 @@ let run_cmd =
           Format.printf "@.trace %s  digest %s@." path
             (trace_jsonl_digest path trace_format)
       | Some _ | None -> ());
-      (match List.filter_map (fun (_, c, _) -> c) ok with
-      | [] -> ()
-      | s :: rest ->
-          Format.printf "@.%a" Obs.Counters.pp
-            (List.fold_left Obs.Counters.merge s rest));
-      match List.filter_map (fun (_, _, p) -> p) ok with
-      | [] -> ()
-      | p :: rest ->
-          List.iter (fun src -> Obs.Profile.merge_into ~src ~dst:p) rest;
-          Format.printf "@.%a" Obs.Profile.pp p
+      print_obs_blocks
+        ~counters:(List.filter_map (fun (_, c, _) -> c) ok)
+        ~profiles:(List.filter_map (fun (_, _, p) -> p) ok)
     end
   in
   let term =

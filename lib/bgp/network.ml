@@ -115,14 +115,17 @@ let emit t src ~peer msg =
   ignore (Netcore.Link.send link ~engine ~from:src ~deliver : bool)
 
 let create ?(params = Netcore.Params.default) ?(config = Config.default)
-    ?(invariants = Faults.Invariant.Off) ?(obs = Obs.Bus.off) ?trace ?prefixes
-    ?on_send ~engine ~graph ~origins ~proc_rng ~speaker_rngs
+    ?(invariants = Faults.Invariant.Off) ?(obs = Obs.Bus.off) ?profile ?trace
+    ?prefixes ?on_send ~engine ~graph ~origins ~proc_rng ~speaker_rngs
     ~on_next_hop_change () =
   Netcore.Params.validate params;
   Config.validate config;
   if not (Topo.Graph.is_connected graph) then
     invalid_arg "Network: graph must be connected";
   let n = Topo.Graph.n_nodes graph in
+  Option.iter
+    (fun p -> Dessim.Engine.set_step_profiler engine (Obs.Profile.step p))
+    profile;
   let checker = Faults.Invariant.create invariants in
   if Faults.Invariant.enabled checker then
     Dessim.Engine.set_clock_monitor engine (fun ~old_time ~new_time ->

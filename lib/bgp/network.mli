@@ -33,6 +33,7 @@ val create :
   ?config:Config.t ->
   ?invariants:Faults.Invariant.mode ->
   ?obs:Obs.Bus.t ->
+  ?profile:Obs.Profile.t ->
   ?trace:Netcore.Trace.t ->
   ?prefixes:Prefix.Table.t ->
   ?on_send:(Msg.t -> unit) ->
@@ -50,6 +51,10 @@ val create :
     and [on_next_hop_change i] is node [i]'s FIB hook.  Defaults: the
     paper's {!Netcore.Params.default} and {!Config.default}, invariants
     [Off], {!Obs.Bus.off}.
+
+    With [profile], [engine]'s step profiler feeds it per-tag wall time
+    and minor words ({!Obs.Profile.step}); without it the engine keeps
+    its profiler-free path.
 
     With [trace], every send, completed processing and link transition
     is logged into it.  With [prefixes], the speakers share that table

@@ -51,9 +51,6 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
   | Scenario s -> Faults.Scenario.validate s ~graph
   | Tdown | Tup | Tlong _ | Trecover _ -> ());
   let engine = Dessim.Engine.create () in
-  (match profile with
-  | Some p -> Dessim.Engine.set_step_profiler engine (Obs.Profile.step p)
-  | None -> ());
   let trace = Netcore.Trace.create ~n in
   let fib = Netcore.Trace.fib trace in
   let prefix = Prefix.make ~origin () in
@@ -64,7 +61,8 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
   let root_rng = Dessim.Rng.create ~seed in
   let proc_rng = Dessim.Rng.split root_rng ~label:"proc" in
   let net =
-    Network.create ~params ~config ~invariants ~obs ~trace ~engine ~graph
+    Network.create ~params ~config ~invariants ~obs ?profile ~trace ~engine
+      ~graph
       ~origins:[ (origin, prefix) ] ~proc_rng
       ~speaker_rngs:(Network.speaker_rngs root_rng ~n)
       ~on_next_hop_change:(fun node ~prefix:p ~next_hop ->

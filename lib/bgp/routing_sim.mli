@@ -110,9 +110,9 @@ val run :
 
     [obs] (default {!Obs.Bus.off}) receives the full trace-event stream
     (message send/recv, FIB changes, link transitions, MRAI fires, node
-    occupancy, drops) and counter bumps.  [profile], when given, is fed
-    per-event-tag wall/virtual-time samples via the engine's step
-    profiler.
+    occupancy, drops) and counter bumps.  [profile], when given, is
+    handed to {!Network.create}, which feeds it per-event-tag wall time,
+    virtual time and minor words through the engine's step profiler.
 
     [watchdog], when given, bounds the run in wall-clock time: the
     engine runs in chunks and stops with [Wall_budget] at the first

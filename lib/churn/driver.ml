@@ -156,7 +156,7 @@ let validate cfg =
   | Some _ | None -> ())
 
 let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
-    cfg =
+    ?profile cfg =
   validate cfg;
   let n = Topo.Graph.n_nodes cfg.graph in
   let fp = fingerprint cfg in
@@ -238,8 +238,8 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
     | None -> ()
   in
   let net =
-    Bgp.Network.create ~params:cfg.params ~config:cfg.bgp ~obs ~engine
-      ~graph:cfg.graph
+    Bgp.Network.create ~params:cfg.params ~config:cfg.bgp ~obs ?profile
+      ~engine ~graph:cfg.graph
       ~origins:[ (cfg.origin, prefix) ]
       ~proc_rng ~speaker_rngs ~on_next_hop_change ()
   in

@@ -139,6 +139,7 @@ val run :
   ?on_epoch:(epoch_info -> unit) ->
   ?resume_from:string ->
   ?sink:Obs.Sink.t ->
+  ?profile:Obs.Profile.t ->
   cfg ->
   result
 (** Runs churn epochs until the configured horizon or a terminal
@@ -149,6 +150,7 @@ val run :
     [sink] receives every trace event (teed with the digest sink when
     [digest] is on) and is closed when the run finishes; warm-up events
     reach it even though they are excluded from the digest chain.
+    [profile] is handed to {!Bgp.Network.create}.
 
     @raise Invalid_argument on an invalid configuration or a
     checkpoint fingerprint mismatch.

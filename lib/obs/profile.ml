@@ -15,6 +15,7 @@ let buckets = 100
 type kind_stats = {
   mutable count : int;
   mutable wall_total_s : float;
+  mutable minor_words : float;
   wall : Stats.Histogram.t;
   vtime : Stats.Histogram.t;
 }
@@ -31,6 +32,7 @@ let kind_stats t tag =
         {
           count = 0;
           wall_total_s = 0.0;
+          minor_words = 0.0;
           wall = Stats.Histogram.create ~lo:wall_lo ~hi:wall_hi ~buckets;
           vtime = Stats.Histogram.create ~lo:vtime_lo ~hi:vtime_hi ~buckets;
         }
@@ -38,19 +40,24 @@ let kind_stats t tag =
       Hashtbl.add t.kinds tag ks;
       ks
 
-let record t ~tag ~time ~wall_s =
+let record ?(minor_words = 0.0) t ~tag ~time ~wall_s =
   let ks = kind_stats t tag in
   ks.count <- ks.count + 1;
   ks.wall_total_s <- ks.wall_total_s +. wall_s;
+  ks.minor_words <- ks.minor_words +. minor_words;
   Stats.Histogram.add ks.wall wall_s;
   Stats.Histogram.add ks.vtime time
 
+(* Both probes are unboxed externals in native code, so the words
+   counted are the event action's own. *)
 let step t ~time ~tag ~run =
   let tag = match tag with Some s -> s | None -> "untagged" in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   run ();
   let wall_s = Unix.gettimeofday () -. t0 in
-  record t ~tag ~time ~wall_s
+  let minor_words = Gc.minor_words () -. w0 in
+  record ~minor_words t ~tag ~time ~wall_s
 
 let merge_into ~src ~dst =
   Hashtbl.to_seq src.kinds |> List.of_seq
@@ -59,6 +66,7 @@ let merge_into ~src ~dst =
          let acc = kind_stats dst tag in
          acc.count <- acc.count + ks.count;
          acc.wall_total_s <- acc.wall_total_s +. ks.wall_total_s;
+         acc.minor_words <- acc.minor_words +. ks.minor_words;
          Stats.Histogram.merge_into ~src:ks.wall ~dst:acc.wall;
          Stats.Histogram.merge_into ~src:ks.vtime ~dst:acc.vtime)
 
@@ -69,12 +77,12 @@ let kinds t =
 let pp ppf t =
   let f fmt = Format.fprintf ppf fmt in
   f "profile (per event tag):@\n";
-  f "  %-16s %10s %14s %12s@\n" "tag" "count" "wall total s" "mean us";
+  f "  %-16s %10s %14s %12s %12s@\n" "tag" "count" "wall total s" "mean us"
+    "words/event";
   List.iter
     (fun (tag, ks) ->
-      let mean_us =
-        if ks.count = 0 then 0.0
-        else ks.wall_total_s /. float_of_int ks.count *. 1e6
-      in
-      f "  %-16s %10d %14.6f %12.2f@\n" tag ks.count ks.wall_total_s mean_us)
+      let per x = if ks.count = 0 then 0.0 else x /. float_of_int ks.count in
+      f "  %-16s %10d %14.6f %12.2f %12.2f@\n" tag ks.count ks.wall_total_s
+        (per ks.wall_total_s *. 1e6)
+        (per ks.minor_words))
     (kinds t)

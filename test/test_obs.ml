@@ -458,12 +458,15 @@ let test_profile_record_and_merge () =
   Obs.Profile.record p ~tag:"link-deliver" ~time:1. ~wall_s:1e-5;
   Obs.Profile.record q ~tag:"link-deliver" ~time:2. ~wall_s:2e-5;
   Obs.Profile.record q ~tag:"mrai-fire" ~time:3. ~wall_s:1e-5;
+  Obs.Profile.record ~minor_words:40. q ~tag:"link-deliver" ~time:4.
+    ~wall_s:0.;
   Obs.Profile.merge_into ~src:q ~dst:p;
   match Obs.Profile.kinds p with
   | [ ("link-deliver", ld); ("mrai-fire", mf) ] ->
-      Alcotest.(check int) "link-deliver merged" 2 ld.count;
+      Alcotest.(check int) "link-deliver merged" 3 ld.count;
       Alcotest.(check int) "mrai-fire carried over" 1 mf.count;
-      Alcotest.(check (float 1e-9)) "wall summed" 3e-5 ld.wall_total_s
+      Alcotest.(check (float 1e-9)) "wall summed" 3e-5 ld.wall_total_s;
+      Alcotest.(check (float 0.)) "words summed" 40. ld.minor_words
   | ks ->
       Alcotest.fail
         (Printf.sprintf "unexpected kinds: %s"
@@ -478,6 +481,32 @@ let test_profile_step_times_run () =
       Alcotest.(check int) "tagged counted" 1 x.count;
       Alcotest.(check int) "untagged counted" 1 u.count
   | _ -> Alcotest.fail "expected untagged + x"
+
+(* The profiler hook lives in [Bgp.Network.create]: a profiled mesh run
+   executes the same events as an unprofiled one, and every executed
+   event lands in exactly one tag. *)
+let test_profile_mesh_hook () =
+  let graph = Topo.Generators.clique 5 in
+  let run ?profile () =
+    let sink, contents = Obs.Sink.memory () in
+    let obs = Obs.Bus.create ~sink () in
+    let o = Bgp.Mesh_sim.run ~graph ~victim:0 ~seed:1 ~obs ?profile () in
+    (o.events_executed, Obs.Trace_digest.of_events (contents ()))
+  in
+  let p = Obs.Profile.create () in
+  let plain_events, plain_digest = run () in
+  let prof_events, prof_digest = run ~profile:p () in
+  Alcotest.(check int) "same events" plain_events prof_events;
+  Alcotest.(check string) "same trace digest" plain_digest prof_digest;
+  let kinds = Obs.Profile.kinds p in
+  Alcotest.(check int) "tag counts sum to events" prof_events
+    (List.fold_left
+       (fun acc (_, (k : Obs.Profile.kind_stats)) -> acc + k.count)
+       0 kinds);
+  match List.assoc_opt "proc-complete" kinds with
+  | Some k ->
+      Alcotest.(check bool) "proc-complete allocates" true (k.minor_words > 0.)
+  | None -> Alcotest.fail "no proc-complete tag"
 
 (* --- trace properties on real runs --- *)
 
@@ -706,6 +735,7 @@ let () =
           tc "histogram merge" test_histogram_merge;
           tc "record and merge" test_profile_record_and_merge;
           tc "step times run" test_profile_step_times_run;
+          tc "mesh hook: same run, every event tagged" test_profile_mesh_hook;
         ] );
       ( "trace-properties",
         [
