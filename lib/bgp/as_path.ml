@@ -30,6 +30,10 @@ let mask_arr arr = Array.fold_left (fun m v -> m lor mask_bit v) 0 arr
 
 let empty = { pid = 0; arena = 0; arr = [||]; phash = hash_arr [||]; mask = 0 }
 
+(* Never interned: its arena (-1) matches no arena, and its hash (-1)
+   no [hash_arr] result, so [equal] holds only against itself. *)
+let absent = { pid = -1; arena = -1; arr = [||]; phash = -1; mask = 0 }
+
 module Table = struct
   module H = Hashtbl.Make (struct
     type t = int array

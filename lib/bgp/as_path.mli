@@ -46,6 +46,13 @@ val default_table : unit -> Table.t
 val empty : t
 (** The unique empty path, shared by all arenas. *)
 
+val absent : t
+(** "No path": the sentinel a slot-indexed RIB array holds where a
+    neighbor has no entry, so that storing a path allocates no option.
+    It is not a path.  No arena interns it, it is {!equal} only to
+    itself, and callers test for it with [==].  Never hand it to
+    {!reintern}, which would turn it into {!empty}. *)
+
 val of_list : ?table:Table.t -> int list -> t
 (** Interns the path into [table] (default: the domain's arena).
     @raise Invalid_argument if the list repeats an AS (AS paths are

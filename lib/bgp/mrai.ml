@@ -13,8 +13,9 @@ type mode = Collapse | Fifo
    interval draws, same fire times: golden traces depend on that
    equivalence. *)
 
-(* A key appears in [keys] (and once in [deadlines]) iff its interval
-   is running, i.e. it transmitted less than one interval ago. *)
+(* A key's [keys] cell holds its state (and the state sits once in
+   [deadlines]) iff its interval is running, i.e. it transmitted less
+   than one interval ago. *)
 type 'msg key_state = {
   key : int;
   mutable until : float;  (* absolute vtime the interval expires *)
@@ -28,9 +29,9 @@ type 'msg t = {
   mode : mode;
   engine : Dessim.Engine.t;
   draw_interval : unit -> float;
-  transmit : 'msg -> bool;
+  transmit : key:int -> 'msg -> bool;
   on_fire : (unit -> unit) option;
-  keys : (int, 'msg key_state) Hashtbl.t;
+  mutable keys : 'msg key_state option array;  (* by key, grown on demand *)
   mutable deadlines : 'msg key_state Dessim.Event_queue.t;
       (* running keys keyed on [until]; equal deadlines pop in push
          (= interval-start) order *)
@@ -46,12 +47,19 @@ let create ?(mode = Collapse) ?on_fire ~engine ~draw_interval ~transmit () =
     draw_interval;
     transmit;
     on_fire;
-    keys = Hashtbl.create 4;
+    keys = [||];
     deadlines = Dessim.Event_queue.create ();
     pending_total = 0;
     handle = None;
     timer_at = 0.;
   }
+
+let check_key fn key =
+  if key < 0 then invalid_arg (Printf.sprintf "Mrai.%s: negative key %d" fn key)
+
+(* The key's state when its interval is running.  [key] is checked
+   non-negative by every entry point. *)
+let running t key = if key < Array.length t.keys then t.keys.(key) else None
 
 (* Transmit [st]'s first pending message that really leaves, dropping
    the suppressed duplicates before it. *)
@@ -60,7 +68,7 @@ let rec release t st =
   else begin
     let msg = Queue.take st.queue in
     t.pending_total <- t.pending_total - 1;
-    t.transmit msg || release t st
+    t.transmit ~key:st.key msg || release t st
   end
 
 (* Push re-armed keys back in release order ([rearmed] is newest
@@ -96,7 +104,13 @@ let rec ensure_timer_at t ~at =
 and begin_interval t key ~now =
   let until = now +. t.draw_interval () in
   let st = { key; until; queue = Queue.create () } in
-  Hashtbl.replace t.keys key st;
+  let n = Array.length t.keys in
+  if key >= n then begin
+    let keys = Array.make (Stdlib.max (key + 1) (2 * n)) None in
+    Array.blit t.keys 0 keys 0 n;
+    t.keys <- keys
+  end;
+  t.keys.(key) <- Some st;
   Dessim.Event_queue.push t.deadlines ~time:until st;
   ensure_timer_at t ~at:until
 
@@ -122,17 +136,16 @@ and fire t =
       st.until <- now +. t.draw_interval ();
       rearmed := st :: !rearmed
     end
-    else Hashtbl.remove t.keys st.key
+    else t.keys.(st.key) <- None
   done;
   push_rearmed t !rearmed;
   if not (Dessim.Event_queue.is_empty t.deadlines) then
     ensure_timer_at t ~at:(Dessim.Event_queue.top_time t.deadlines)
 
-(* [Hashtbl.find] with [Not_found] rather than [find_opt]: the hit
-   path allocates no option. *)
 let offer ?(key = 0) t msg =
-  match Hashtbl.find t.keys key with
-  | st ->
+  check_key "offer" key;
+  match running t key with
+  | Some st ->
       (* interval running: hold the message for the next expiry *)
       (match t.mode with
       | Collapse ->
@@ -141,29 +154,32 @@ let offer ?(key = 0) t msg =
       | Fifo -> ());
       Queue.add msg st.queue;
       t.pending_total <- t.pending_total + 1
-  | exception Not_found ->
-      if t.transmit msg then
+  | None ->
+      if t.transmit ~key msg then
         begin_interval t key ~now:(Dessim.Engine.now t.engine)
 
 let send_now ?(key = 0) t ~keep_pending msg =
+  check_key "send_now" key;
   if not keep_pending then begin
-    match Hashtbl.find t.keys key with
-    | exception Not_found -> ()
-    | st ->
+    match running t key with
+    | None -> ()
+    | Some st ->
         t.pending_total <- t.pending_total - Queue.length st.queue;
         Queue.clear st.queue
   end;
-  ignore (t.transmit msg : bool)
+  ignore (t.transmit ~key msg : bool)
 
 let timer_running t = t.handle <> None
 
-let key_running t key = Hashtbl.mem t.keys key
+let key_running t key =
+  check_key "key_running" key;
+  Option.is_some (running t key)
 
 let pending_count t = t.pending_total
 
 let reset t =
   Option.iter Dessim.Engine.cancel t.handle;
   t.handle <- None;
-  Hashtbl.reset t.keys;
+  Array.fill t.keys 0 (Array.length t.keys) None;
   t.deadlines <- Dessim.Event_queue.create ();
   t.pending_total <- 0

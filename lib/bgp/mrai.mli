@@ -1,9 +1,14 @@
 (** Minimum Route Advertisement Interval rate limiter, one instance per
-    neighbor with rate-limit state sharded per destination key — the
+    neighbor with rate-limit state kept per destination key — the
     paper's per-(neighbor, destination) model, with one {e physical}
     engine timer per limiter instead of one per destination.  The
     running keys sit in a {!Dessim.Event_queue} ordered by deadline, so
     an expiry touches only the expired keys.
+
+    Keys are dense non-negative ints — a speaker uses prefix ids — and
+    index an array grown on demand to the largest key seen, so a key
+    costs one array cell, not a hash probe.  Every keyed operation
+    raises [Invalid_argument] on a negative key.
 
     Each key runs its own interval: a key whose interval is idle
     transmits an {!offer}ed message immediately (another key's running
@@ -43,18 +48,20 @@ val create :
   ?on_fire:(unit -> unit) ->
   engine:Dessim.Engine.t ->
   draw_interval:(unit -> float) ->
-  transmit:('msg -> bool) ->
+  transmit:(key:int -> 'msg -> bool) ->
   unit ->
   'msg t
-(** [transmit] performs the actual send and returns whether a message
-    really left (false = suppressed duplicate).  [draw_interval] is
+(** [transmit ~key msg] performs the actual send of [msg], offered or
+    sent under [key], and returns whether a message really left
+    (false = suppressed duplicate).  [draw_interval] is
     drawn once per interval start, per key.  [on_fire] is invoked at
     the start of each physical timer expiry, before any pending
     message is transmitted (observability hook); batching means one
     expiry may release several keys.  [mode] defaults to [Collapse]. *)
 
 val offer : ?key:int -> 'msg t -> 'msg -> unit
-(** Rate-limited send for destination [key] (default [0]). *)
+(** Rate-limited send for destination [key] (default [0]).
+    @raise Invalid_argument when [key < 0]. *)
 
 val send_now : ?key:int -> 'msg t -> keep_pending:bool -> 'msg -> unit
 (** Immediate send, ignoring and not re-arming [key]'s interval.
@@ -62,7 +69,7 @@ val send_now : ?key:int -> 'msg t -> keep_pending:bool -> 'msg -> unit
     superseded, e.g. by a plain withdrawal); [keep_pending:true] leaves
     it to go out on expiry (Ghost Flushing: the flush withdrawal
     precedes the still-scheduled announcement).  Other keys' pending
-    state is never touched. *)
+    state is never touched.  @raise Invalid_argument when [key < 0]. *)
 
 val timer_running : _ t -> bool
 (** Whether the shared physical timer is scheduled, i.e. at least one
@@ -71,7 +78,8 @@ val timer_running : _ t -> bool
 val key_running : _ t -> int -> bool
 (** [key_running t key]: whether [key]'s own interval is running, i.e.
     an {!offer} for [key] would be held rather than sent at once.
-    Other keys' intervals do not count. *)
+    Other keys' intervals do not count.
+    @raise Invalid_argument when [key < 0]. *)
 
 val pending_count : _ t -> int
 (** Total over all keys ([Collapse]: at most one per key; [Fifo]: the

@@ -19,8 +19,8 @@ let pp fmt t =
 
 (* Dense prefix-id interning, mirroring the As_path.Table arena: a
    simulation shares one table across all speakers so a prefix has one
-   id everywhere — ids then pack with peer numbers into single-int RIB
-   shard keys, and appear as the "pfx" field of per-prefix trace
+   id everywhere — ids index each speaker's destinations and key its
+   MRAI limiters, and appear as the "pfx" field of per-prefix trace
    events. *)
 module Table = struct
   type prefix = t
@@ -65,25 +65,4 @@ module Table = struct
     for i = 0 to t.size - 1 do
       f i t.rev.(i)
     done
-end
-
-(* Packed (prefix_id, peer) shard keys: one immediate int, so the flat
-   Adj-RIB-In/Out tables hash and compare without boxing.  Peer numbers
-   take the low 20 bits (the arena memo keys in As_path use the same
-   split); prefix ids get the rest of the 63-bit int, so the packing is
-   injective over the full supported ranges. *)
-module Key = struct
-  let peer_bits = 20
-  let max_peer = (1 lsl peer_bits) - 1
-  let max_id = (max_int lsr peer_bits) - 1
-
-  let pack ~id ~peer =
-    if peer < 0 || peer > max_peer then
-      invalid_arg (Printf.sprintf "Prefix.Key.pack: peer %d out of range" peer);
-    if id < 0 || id > max_id then
-      invalid_arg (Printf.sprintf "Prefix.Key.pack: id %d out of range" id);
-    (id lsl peer_bits) lor peer
-
-  let id key = key lsr peer_bits
-  let peer key = key land max_peer
 end

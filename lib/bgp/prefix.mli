@@ -23,9 +23,9 @@ val pp : Format.formatter -> t -> unit
 
 (** Dense prefix-id interning (the {!As_path.Table} arena technique
     applied to prefixes).  A simulation shares one table across all of
-    its speakers, so each prefix has a single id everywhere: ids pack
-    with peer numbers into flat RIB shard keys ({!Key}) and identify
-    prefixes in per-prefix trace events. *)
+    its speakers, so each prefix has a single id everywhere: ids index
+    each speaker's destination array and key its per-peer MRAI
+    limiters, and identify prefixes in per-prefix trace events. *)
 module Table : sig
   type prefix = t
 
@@ -49,23 +49,4 @@ module Table : sig
 
   val iter : (int -> prefix -> unit) -> t -> unit
   (** Iterate interned prefixes in id order. *)
-end
-
-(** Packed [(prefix_id, peer)] shard keys: both halves in one immediate
-    int, so flat Adj-RIB tables hash and compare without boxing.  Peers
-    take the low 20 bits, prefix ids the remaining high bits; the
-    packing is injective over the full [0..max_peer] × [0..max_id]
-    ranges. *)
-module Key : sig
-  val max_peer : int
-  (** [2^20 - 1]. *)
-
-  val max_id : int
-
-  val pack : id:int -> peer:int -> int
-  (** @raise Invalid_argument when either half is out of range. *)
-
-  val id : int -> int
-
-  val peer : int -> int
 end

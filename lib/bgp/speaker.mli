@@ -61,9 +61,10 @@ val create :
     flowing between them compare in O(1).
 
     [prefixes] (default: a private table) interns destination prefixes
-    to dense ids; a mesh simulation passes one shared table to all of
-    its speakers so that the packed [(prefix_id, peer)] RIB keys and
-    trace prefix ids agree across nodes. *)
+    to dense ids; a prefix id indexes the speaker's destinations and
+    keys its MRAI limiters.  A mesh simulation passes one shared table
+    to all of its speakers so that trace prefix ids agree across
+    nodes. *)
 
 val node : t -> int
 
@@ -156,12 +157,13 @@ val set_path_table : t -> As_path.Table.t -> unit
 val path_table : t -> As_path.Table.t
 
 val prefix_table : t -> Prefix.Table.t
-(** The prefix-interning table this speaker keys its RIB shards with
-    (shared across speakers in a mesh simulation). *)
+(** The prefix-interning table whose ids index this speaker's
+    destinations (shared across speakers in a mesh simulation). *)
 
 (** Marshal-safe snapshot of a quiescent speaker's protocol state:
     paths are flattened to AS arrays and re-interned on restore,
-    hashtables serialized in canonical (sorted) order.  Peers holding
+    per-peer entries listed by ascending peer id and destinations by
+    prefix, so the bytes do not depend on slot numbers.  Peers holding
     no route from us are omitted from [sn_advertised]: a fresh
     out-state is behaviorally identical. *)
 type dest_snapshot = {
@@ -189,5 +191,7 @@ val restore : t -> snapshot -> unit
 (** Write [snapshot] into a freshly created, empty speaker (same node
     id, same config).  No decision process runs, nothing is emitted
     and [on_next_hop_change] does not fire — the caller re-seeds its
-    FIB view from the same checkpoint.  @raise Invalid_argument on a
-    node mismatch or a non-empty speaker. *)
+    FIB view from the same checkpoint.  A peer in [sn_peers] the
+    speaker was not created with takes the next free slot.
+    @raise Invalid_argument on a node mismatch, a non-empty speaker or
+    an entry for a peer missing from [sn_peers]. *)

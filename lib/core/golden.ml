@@ -51,7 +51,7 @@ let digest_line f = Printf.sprintf "%s %s" f.name (digest f)
    its own prefix, node 0's prefix withdrawn, seed 1; they differ only
    in the BGP configuration.  Not [Experiment.spec]s (those are
    single-prefix), so they live outside [fixtures].  Their digests pin
-   the per-prefix trace tagging, the packed-key RIB sharding and the
+   the per-prefix trace tagging, the slot-indexed RIB arrays and the
    batched MRAI release order — plain, with Ghost Flushing (held keys
    plus [send_now ~keep_pending:true]) and with WRATE withdrawals
    queued behind a Fifo limiter. *)

@@ -14,10 +14,10 @@
    fixtures and on stub origins.
 
    Properties: the batched per-peer MRAI releases each pending key
-   exactly once per expiry and behaves like one independent timer per
-   key; packed (prefix, peer) keys round-trip injectively; the
-   streaming per-prefix loop scans of a mesh run equal N independent
-   post-hoc scans of its FIB histories. *)
+   exactly once per expiry, hands every message to [transmit] under the
+   key it was offered with, and behaves like one independent timer per
+   key; the streaming per-prefix loop scans of a mesh run equal N
+   independent post-hoc scans of its FIB histories. *)
 
 let fib_changes fib = Netcore.Fib_history.changes_from fib ~from:neg_infinity
 
@@ -287,42 +287,6 @@ let test_mesh_trace_prefix_tagged () =
     events;
   Alcotest.(check bool) "plenty of tagged events" true (!tagged > 100)
 
-(* --- QCheck: packed (prefix, peer) keys --- *)
-
-let prop_key_roundtrip =
-  QCheck.Test.make ~count:1000 ~name:"packed key round-trips"
-    QCheck.(
-      pair
-        (int_range 0 ((1 lsl 30) - 1))
-        (int_range 0 Bgp.Prefix.Key.max_peer))
-    (fun (id, peer) ->
-      let k = Bgp.Prefix.Key.pack ~id ~peer in
-      Bgp.Prefix.Key.id k = id && Bgp.Prefix.Key.peer k = peer)
-
-let prop_key_injective =
-  QCheck.Test.make ~count:1000 ~name:"packed key injective"
-    QCheck.(
-      pair
-        (pair (int_range 0 ((1 lsl 30) - 1)) (int_range 0 Bgp.Prefix.Key.max_peer))
-        (pair (int_range 0 ((1 lsl 30) - 1)) (int_range 0 Bgp.Prefix.Key.max_peer)))
-    (fun (((id1, peer1) as a), ((id2, peer2) as b)) ->
-      let k1 = Bgp.Prefix.Key.pack ~id:id1 ~peer:peer1 in
-      let k2 = Bgp.Prefix.Key.pack ~id:id2 ~peer:peer2 in
-      a = b = (k1 = k2))
-
-let test_key_range_extremes () =
-  let open Bgp.Prefix.Key in
-  let k = pack ~id:max_id ~peer:max_peer in
-  Alcotest.(check int) "max id survives" max_id (id k);
-  Alcotest.(check int) "max peer survives" max_peer (peer k);
-  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "peer over range rejected" true
-    (raises (fun () -> pack ~id:0 ~peer:(max_peer + 1)));
-  Alcotest.(check bool) "negative id rejected" true
-    (raises (fun () -> pack ~id:(-1) ~peer:0));
-  Alcotest.(check bool) "id over range rejected" true
-    (raises (fun () -> pack ~id:(max_id + 1) ~peer:0))
-
 (* --- QCheck: batched MRAI vs one naive timer per key --- *)
 
 type action = Offer | Send_now of bool (* keep_pending *) | Reset
@@ -336,7 +300,8 @@ let interval_of key = [| 0.; 5.; 10.; 10. |].(key)
 
 (* Suppressed transmits for msg mod 5 = 0 (to exercise the per-key
    drain loop); everything sent is logged as (key, msg) in transmit
-   order. *)
+   order.  Messages carry the key they are offered under, which
+   [transmit] must be handed back. *)
 let run_batched mode ops =
   let engine = Dessim.Engine.create () in
   let sent = ref [] in
@@ -347,7 +312,11 @@ let run_batched mode ops =
     Bgp.Mrai.create ~mode ~engine
       ~on_fire:(fun () -> Hashtbl.reset since_fire)
       ~draw_interval:(fun () -> interval_of !last_key)
-      ~transmit:(fun (key, msg) ->
+      ~transmit:(fun ~key:transmit_key (key, msg) ->
+        if transmit_key <> key then
+          failwith
+            (Printf.sprintf "message offered under key %d transmitted as %d"
+               key transmit_key);
         if msg mod 5 = 0 then false
         else begin
           (* "each pending key releases at most one message per expiry";
@@ -391,7 +360,7 @@ let run_naive mode ops =
         let t =
           Bgp.Mrai.create ~mode ~engine
             ~draw_interval:(fun () -> interval_of key)
-            ~transmit:(fun (key, msg) ->
+            ~transmit:(fun ~key:_ (key, msg) ->
               if msg mod 5 = 0 then false
               else begin
                 sent := (key, msg) :: !sent;
@@ -508,12 +477,6 @@ let () =
           tc "run twice, identical trace" test_run_twice_deterministic;
           tc "every per-prefix event tagged in range"
             test_mesh_trace_prefix_tagged;
-        ] );
-      ( "packed-keys",
-        [
-          tc "range extremes" test_key_range_extremes;
-          QCheck_alcotest.to_alcotest prop_key_roundtrip;
-          QCheck_alcotest.to_alcotest prop_key_injective;
         ] );
       ( "batched-mrai",
         [ QCheck_alcotest.to_alcotest prop_batched_mrai_equals_naive ] );
