@@ -1,9 +1,15 @@
 (* bgpsim — command-line front end.
 
    Subcommands:
-     run    simulate one scenario and print its metrics
-     sweep  sweep network size or MRAI and print a table
-     topo   generate a topology (edge list or graphviz)
+     run      simulate one scenario over seeds (or a full mesh with
+              --mesh) and print its metrics
+     sweep    sweep network size or MRAI and print a table
+     analyze  static pre-flight: policy safety, scenario lint, bounds
+     churn    sustained-churn service mode with checkpoint/resume
+     topo     generate a topology (edge list or graphviz)
+     trace    export one run's traces as CSV, or decode a binary trace
+     figures  regenerate every paper figure's data series as CSV
+     golden   print or check the golden-trace digests
 
    Examples:
      bgpsim run --topology clique:15 --event tdown --mrai 30
@@ -107,10 +113,20 @@ let enhancement_arg =
     & info [ "enhancement" ] ~docv:"MECH"
         ~doc:"Convergence mechanism: standard, ssld, wrate, assertion or ghost-flushing.")
 
+let mrai_conv =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok v when Float.is_finite v && v >= 0. -> Ok v
+    | Ok _ -> Error (`Msg "the MRAI must be a finite number of seconds >= 0")
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let mrai_arg =
   Arg.(
-    value & opt float 30.
-    & info [ "mrai" ] ~docv:"SECONDS" ~doc:"MRAI timer value (paper default 30).")
+    value & opt mrai_conv 30.
+    & info [ "mrai" ] ~docv:"SECONDS"
+        ~doc:"MRAI timer value, finite and >= 0 (paper default 30).")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Base random seed.")
@@ -284,78 +300,72 @@ let mesh_flag =
            ignored).  Prints one row per seed; $(b,--trace) records the \
            per-prefix-tagged trace of the first seed.")
 
-(* The merged counters and profile blocks after a run's table. *)
-let print_obs_blocks ~counters ~profiles =
-  (match counters with
-  | [] -> ()
-  | s :: rest ->
-      Format.printf "@.%a" Obs.Counters.pp
-        (List.fold_left Obs.Counters.merge s rest));
-  match profiles with
-  | [] -> ()
-  | p :: rest ->
-      List.iter (fun src -> Obs.Profile.merge_into ~src ~dst:p) rest;
-      Format.printf "@.%a" Obs.Profile.pp p
-
-(* One full-mesh run per seed, sequentially (the runs share nothing, but
-   mesh rows report wall-clock throughput, so no --jobs overlap). *)
-let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
-    ~trace_format ~counters ~profile =
-  let graph, victim, _event = Bgpsim.Experiment.resolve spec in
-  let config =
-    Bgp.Config.of_enhancement ~mrai:spec.mrai spec.enhancement
-  in
-  let snapshots = ref [] and profiles = ref [] in
-  let rows =
-    List.mapi
-      (fun i sd ->
+(* One seed's run under its own bus and profile.  The bus is off unless
+   --trace or --counters is set, and the trace sink rides on the first
+   seed only.  Returns the run's result with its counter snapshot and
+   profile, for merging after the ordered gather. *)
+let with_seed_obs ~trace_file ~trace_format ~counters ~profile i run =
+  let regs = if counters then Some (Obs.Counters.create ()) else None in
+  let obs =
+    match (trace_file, regs) with
+    | None, None -> Obs.Bus.off
+    | _ ->
         let sink =
           match trace_file with
           | Some path when i = 0 -> trace_sink path trace_format
           | Some _ | None -> Obs.Sink.null
         in
-        let regs = if counters then Some (Obs.Counters.create ()) else None in
-        let obs = Obs.Bus.create ~sink ?counters:regs () in
-        let prof = if profile then Some (Obs.Profile.create ()) else None in
-        let t0 = Unix.gettimeofday () in
-        let o =
-          Fun.protect
-            ~finally:(fun () -> Obs.Bus.close obs)
-            (fun () ->
-              Bgp.Mesh_sim.run ~config ~max_events:spec.max_events
-                ?max_vtime:spec.max_vtime ~invariants:spec.invariants ~obs
-                ?profile:prof ~graph ~victim ~seed:sd ())
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        Option.iter
-          (fun r -> snapshots := Obs.Counters.snapshot r :: !snapshots)
-          regs;
-        Option.iter (fun p -> profiles := p :: !profiles) prof;
-        let until = o.victim_convergence_end in
-        let loops, loop_s =
-          List.fold_left
-            (fun (c, s) (_, r) ->
-              let a = Loopscan.Scanner.aggregate r ~until in
-              (c + a.count, s +. a.total_loop_seconds))
-            (0, 0.) o.loop_reports
-        in
-        [
-          string_of_int sd;
-          string_of_int (List.length o.prefixes);
-          string_of_int o.events_executed;
-          Printf.sprintf "%.3f" wall;
-          (if wall > 0. then
-             Printf.sprintf "%.0f" (float_of_int o.events_executed /. wall)
-           else "-");
-          Bgpsim.Report.float_cell (Bgp.Mesh_sim.convergence_time o);
-          (if o.converged then "yes" else "NO");
-          string_of_int o.victim_messages;
-          string_of_int o.background_messages;
-          string_of_int loops;
-          Printf.sprintf "%.1f" loop_s;
-        ])
-      seedl
+        Obs.Bus.create ~sink ?counters:regs ()
   in
+  let prof = if profile then Some (Obs.Profile.create ()) else None in
+  let r =
+    Fun.protect ~finally:(fun () -> Obs.Bus.close obs) (fun () -> run obs prof)
+  in
+  (r, Option.map Obs.Counters.snapshot regs, prof)
+
+(* One full-mesh run per seed, sequentially (the runs share nothing, but
+   mesh rows report wall-clock throughput, so no --jobs overlap).  Prints
+   the rows and the failed runs; returns the completed seeds' results. *)
+let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~with_obs =
+  let graph, victim, _event = Bgpsim.Experiment.resolve spec in
+  let row sd obs prof =
+    let config = Bgp.Config.of_enhancement ~mrai:spec.mrai spec.enhancement in
+    let t0 = Unix.gettimeofday () in
+    let o =
+      Bgp.Mesh_sim.run ~config ~max_events:spec.max_events
+        ?max_vtime:spec.max_vtime ~invariants:spec.invariants ~obs
+        ?profile:prof ~graph ~victim ~seed:sd ()
+    in
+    let wall = Unix.gettimeofday () -. t0 in
+    let until = o.victim_convergence_end in
+    let loops, loop_s =
+      List.fold_left
+        (fun (c, s) (_, r) ->
+          let a = Loopscan.Scanner.aggregate r ~until in
+          (c + a.count, s +. a.total_loop_seconds))
+        (0, 0.) o.loop_reports
+    in
+    [
+      string_of_int sd;
+      string_of_int (List.length o.prefixes);
+      string_of_int o.events_executed;
+      Printf.sprintf "%.3f" wall;
+      (if wall > 0. then
+         Printf.sprintf "%.0f" (float_of_int o.events_executed /. wall)
+       else "-");
+      Bgpsim.Report.float_cell (Bgp.Mesh_sim.convergence_time o);
+      (if o.converged then "yes" else "NO");
+      string_of_int o.victim_messages;
+      string_of_int o.background_messages;
+      string_of_int loops;
+      Printf.sprintf "%.1f" loop_s;
+    ]
+  in
+  let results =
+    Bgpsim.Sweep.run_batch
+      (List.mapi (fun i sd () -> with_obs i (row sd)) seedl)
+  in
+  let ok = List.filter_map Result.to_option results in
   print_string
     (Bgpsim.Report.table
        ~title:
@@ -368,14 +378,53 @@ let run_mesh ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~trace_file
            "seed"; "prefixes"; "events"; "wall(s)"; "ev/s"; "conv(s)";
            "conv?"; "victim-msg"; "bg-msg"; "loops"; "loop-s";
          ]
-       ~rows);
-  (match trace_file with
-  | Some path when Sys.file_exists path ->
-      Format.printf "@.trace %s  digest %s@." path
-        (trace_jsonl_digest path trace_format)
-  | Some _ | None -> ());
-  print_obs_blocks ~counters:(List.rev !snapshots)
-    ~profiles:(List.rev !profiles)
+       ~rows:(List.map (fun (row, _, _) -> row) ok));
+  let scenario = Bgpsim.Experiment.topology_name spec.topology ^ "/mesh" in
+  let failures =
+    List.concat
+      (List.map2
+         (fun seed -> function
+           | Ok _ -> []
+           | Error exn ->
+               let message = Printexc.to_string exn in
+               [ { Bgpsim.Sweep.seed; scenario; message } ])
+         seedl results)
+  in
+  if failures <> [] then
+    Format.printf "@.%s@." (Bgpsim.Sweep.failures_table failures);
+  List.map (fun (_, c, p) -> (c, p)) ok
+
+(* Every single-prefix seed goes through the error-isolating sweep, so
+   failures, budget hits and strict pre-flight skips print the same way
+   whatever flags are set.  Returns the completed seeds' results. *)
+let run_seeds ~(spec : Bgpsim.Experiment.spec) ~seeds:seedl ~jobs ~with_obs =
+  let results =
+    Bgpsim.Sweep.run_batch ~jobs
+      (List.mapi
+         (fun i seed () ->
+           with_obs i (fun obs profile ->
+               (Bgpsim.Experiment.run ~obs ?profile { spec with seed })
+                 .Bgpsim.Experiment.metrics))
+         seedl)
+  in
+  let robust =
+    Bgpsim.Sweep.robust_of_results spec ~seeds:seedl
+      (List.map (Result.map (fun (m, _, _) -> m)) results)
+  in
+  (match robust.metrics with
+  | Some m -> Format.printf "@.%a@." Metrics.Run_metrics.pp m
+  | None -> Format.printf "@.no run completed@.");
+  if robust.non_converged > 0 then
+    Format.printf "@.%d of %d run(s) hit a budget (non-converged)@."
+      robust.non_converged robust.completed;
+  if robust.rejected <> [] then
+    Format.printf "@.%d run(s) skipped by the strict pre-flight@."
+      (List.length robust.rejected);
+  if robust.failures <> [] then
+    Format.printf "@.%s@." (Bgpsim.Sweep.failures_table robust.failures);
+  List.filter_map
+    (function Ok (_, c, p) -> Some (c, p) | Error _ -> None)
+    results
 
 let run_cmd =
   let action topology event scenario invariants max_events max_vtime preflight
@@ -385,6 +434,11 @@ let run_cmd =
       spec_of ?scenario ~invariants ~max_events ?max_vtime ~preflight topology
         event enhancement mrai seed
     in
+    (* a full-mesh run withdraws the resolved origin's prefix, so the
+       victim is resolved as for T_down whatever --event/--scenario say *)
+    let spec =
+      if mesh then { spec with event = Bgpsim.Experiment.Tdown } else spec
+    in
     let seedl = seed_list ~seed ~seeds in
     Format.printf "%s  event=%s  enhancement=%a  mrai=%gs  seeds=%d@."
       (Bgpsim.Experiment.topology_name topology)
@@ -393,61 +447,28 @@ let run_cmd =
     if preflight <> Analysis.Preflight.Off then
       Format.printf "@.%a@." Analysis.Preflight.pp
         (Bgpsim.Experiment.analyze spec);
-    if mesh then
-      run_mesh ~spec ~seeds:seedl ~trace_file ~trace_format ~counters ~profile
-    else if trace_file = None && not (counters || profile) then begin
-      let robust = Bgpsim.Sweep.over_seeds_robust ~jobs spec ~seeds:seedl in
-      (match robust.metrics with
-      | Some m -> Format.printf "@.%a@." Metrics.Run_metrics.pp m
-      | None -> Format.printf "@.no run completed@.");
-      if robust.non_converged > 0 then
-        Format.printf "@.%d of %d run(s) hit a budget (non-converged)@."
-          robust.non_converged robust.completed;
-      if robust.rejected <> [] then
-        Format.printf "@.%d run(s) skipped by the strict pre-flight@."
-          (List.length robust.rejected);
-      if robust.failures <> [] then
-        Format.printf "@.%s@." (Bgpsim.Sweep.failures_table robust.failures)
-    end
-    else begin
-      (* Observability path: each seed runs with its own bus (the JSONL
-         sink rides on the first seed only); counter snapshots and
-         profiles are merged across workers after the ordered gather. *)
-      let outcomes =
-        Bgpsim.Parallel.map ~jobs
-          (fun (i, sd) ->
-            let regs = if counters then Some (Obs.Counters.create ()) else None in
-            let sink =
-              match trace_file with
-              | Some path when i = 0 -> trace_sink path trace_format
-              | Some _ | None -> Obs.Sink.null
-            in
-            let obs = Obs.Bus.create ~sink ?counters:regs () in
-            let prof = if profile then Some (Obs.Profile.create ()) else None in
-            let result =
-              Fun.protect
-                ~finally:(fun () -> Obs.Bus.close obs)
-                (fun () ->
-                  Bgpsim.Experiment.run ~obs ?profile:prof { spec with seed = sd })
-            in
-            (result.metrics, Option.map Obs.Counters.snapshot regs, prof))
-          (List.mapi (fun i sd -> (i, sd)) seedl)
-      in
-      let ok = List.filter_map Result.to_option outcomes in
-      let failed = List.length outcomes - List.length ok in
-      (match List.map (fun (m, _, _) -> m) ok with
-      | [] -> Format.printf "@.no run completed@."
-      | ms -> Format.printf "@.%a@." Metrics.Run_metrics.pp (Metrics.Run_metrics.mean ms));
-      if failed > 0 then Format.printf "@.%d run(s) failed@." failed;
-      (match trace_file with
-      | Some path when Sys.file_exists path ->
-          Format.printf "@.trace %s  digest %s@." path
-            (trace_jsonl_digest path trace_format)
-      | Some _ | None -> ());
-      print_obs_blocks
-        ~counters:(List.filter_map (fun (_, c, _) -> c) ok)
-        ~profiles:(List.filter_map (fun (_, _, p) -> p) ok)
-    end
+    let with_obs i run =
+      with_seed_obs ~trace_file ~trace_format ~counters ~profile i run
+    in
+    let completed =
+      if mesh then run_mesh ~spec ~seeds:seedl ~with_obs
+      else run_seeds ~spec ~seeds:seedl ~jobs ~with_obs
+    in
+    (match trace_file with
+    | Some path when Sys.file_exists path ->
+        Format.printf "@.trace %s  digest %s@." path
+          (trace_jsonl_digest path trace_format)
+    | Some _ | None -> ());
+    (match List.filter_map fst completed with
+    | [] -> ()
+    | s :: rest ->
+        Format.printf "@.%a" Obs.Counters.pp
+          (List.fold_left Obs.Counters.merge s rest));
+    match List.filter_map snd completed with
+    | [] -> ()
+    | p :: rest ->
+        List.iter (fun src -> Obs.Profile.merge_into ~src ~dst:p) rest;
+        Format.printf "@.%a" Obs.Profile.pp p
   in
   let term =
     Term.(
@@ -565,14 +586,17 @@ let analyze_cmd =
     | Some path ->
         let oc = open_out path in
         output_string oc
-          ("["
-          ^ String.concat ","
-              (List.map
-                 (fun (label, r) ->
-                   Printf.sprintf "{\"name\":\"%s\",\"report\":%s}" label
-                     (Analysis.Preflight.to_json r))
-                 reports)
-          ^ "]\n");
+          (Json.to_string
+             (Json.List
+                (List.map
+                   (fun (label, r) ->
+                     Json.Obj
+                       [
+                         ("name", Json.Str label);
+                         ("report", Analysis.Preflight.to_json r);
+                       ])
+                   reports)));
+        output_char oc '\n';
         close_out oc;
         Printf.printf "wrote %s\n" path);
     let doomed =
@@ -653,209 +677,6 @@ let golden_cmd =
 
 (* --- sweep --- *)
 
-(* The scale preset (EXPERIMENTS.md §"Scale sweep"): T_down and T_long
-   on internet-like graphs at the Premore sizes plus 300 nodes, timing
-   the routing simulation alone.  CI runs it at n=110 over seeds 1-3
-   and fails on any non-converged point. *)
-let scale_preset_sizes = [ 29; 48; 75; 110; 300 ]
-
-let run_scale_preset ~sizes ~preflight ~enhancement ~mrai ~seeds:seedl =
-  let cell (spec : Bgpsim.Experiment.spec) =
-    let graph, origin, event = Bgpsim.Experiment.resolve spec in
-    let config = Bgp.Config.of_enhancement ~mrai:spec.mrai spec.enhancement in
-    let t0 = Unix.gettimeofday () in
-    let o =
-      Bgp.Routing_sim.run ~config ~max_events:spec.max_events ~graph ~origin
-        ~event ~seed:spec.seed ()
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    (o, wall, (Gc.quick_stat ()).top_heap_words)
-  in
-  let rows =
-    List.concat_map
-      (fun n ->
-        List.map
-          (fun (label, ev) ->
-            let cells =
-              List.map
-                (fun seed ->
-                  cell
-                    (spec_of ~preflight ~max_events:5_000_000
-                       (Bgpsim.Experiment.Internet n) ev enhancement mrai seed))
-                seedl
-            in
-            let events =
-              List.fold_left
-                (fun a ((o : Bgp.Routing_sim.outcome), _, _) ->
-                  a + o.events_executed)
-                0 cells
-            in
-            let wall = List.fold_left (fun a (_, w, _) -> a +. w) 0. cells in
-            let conv =
-              List.fold_left
-                (fun a (o, _, _) -> a +. Bgp.Routing_sim.convergence_time o)
-                0. cells
-              /. float_of_int (List.length cells)
-            in
-            let converged =
-              List.for_all
-                (fun ((o : Bgp.Routing_sim.outcome), _, _) -> o.converged)
-                cells
-            in
-            let heap =
-              List.fold_left (fun a (_, _, h) -> Stdlib.max a h) 0 cells
-            in
-            let paths =
-              List.fold_left
-                (fun a ((o : Bgp.Routing_sim.outcome), _, _) ->
-                  Stdlib.max a o.paths_interned)
-                0 cells
-            in
-            [
-              string_of_int n;
-              label;
-              string_of_int events;
-              Printf.sprintf "%.3f" wall;
-              (if wall > 0. then
-                 Printf.sprintf "%.0f" (float_of_int events /. wall)
-               else "-");
-              Bgpsim.Report.float_cell conv;
-              (if converged then "yes" else "NO");
-              Printf.sprintf "%.1f" (float_of_int heap /. 1e6);
-              string_of_int paths;
-            ])
-          [ ("tdown", Bgpsim.Experiment.Tdown); ("tlong", Bgpsim.Experiment.Tlong) ])
-      sizes
-  in
-  print_string
-    (Bgpsim.Report.table
-       ~title:
-         (Printf.sprintf
-            "scale preset: T_down/T_long on internet graphs (%d seed(s))"
-            (List.length seedl))
-       ~header:
-         [
-           "n"; "event"; "events"; "wall(s)"; "ev/s"; "conv(s)"; "conv?";
-           "heap-Mw"; "paths";
-         ]
-       ~rows)
-
-(* The mesh preset (EXPERIMENTS.md §"Full-mesh recipe"): full-mesh
-   multi-prefix workloads on internet-like graphs — every node
-   originates its own prefix and the min-degree stub's prefix is
-   withdrawn after warm-up.  CI runs this at small sizes and fails on
-   any non-converged point; perfbench's mesh-churn workload covers
-   internet-110 under background flaps. *)
-let mesh_preset_sizes = [ 10; 20; 29; 48 ]
-
-let run_mesh_preset ~sizes ~preflight ~enhancement ~mrai ~seeds:seedl =
-  let cell (spec : Bgpsim.Experiment.spec) =
-    let graph, victim, _event = Bgpsim.Experiment.resolve spec in
-    let config =
-      Bgp.Config.of_enhancement ~mrai:spec.mrai spec.enhancement
-    in
-    let t0 = Unix.gettimeofday () in
-    let o =
-      Bgp.Mesh_sim.run ~config ~max_events:spec.max_events ~graph ~victim
-        ~seed:spec.seed ()
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    (o, wall, (Gc.quick_stat ()).top_heap_words)
-  in
-  let rows =
-    List.map
-      (fun n ->
-        let specs =
-          List.map
-            (fun seed ->
-              spec_of ~preflight ~max_events:40_000_000
-                (Bgpsim.Experiment.Internet n) Bgpsim.Experiment.Tdown
-                enhancement mrai seed)
-            seedl
-        in
-        (* the pre-flight analyzes the victim prefix's (single-prefix)
-           scenario — policy safety and bounds carry over per prefix *)
-        (match specs with
-        | s :: _ when preflight <> Analysis.Preflight.Off ->
-            Format.printf "== internet:%d ==@.%a@.@." n Analysis.Preflight.pp
-              (Bgpsim.Experiment.analyze s)
-        | _ -> ());
-        let cells = List.map cell specs in
-        let events =
-          List.fold_left
-            (fun a ((o : Bgp.Mesh_sim.outcome), _, _) -> a + o.events_executed)
-            0 cells
-        in
-        let wall = List.fold_left (fun a (_, w, _) -> a +. w) 0. cells in
-        let conv =
-          List.fold_left
-            (fun a (o, _, _) -> a +. Bgp.Mesh_sim.convergence_time o)
-            0. cells
-          /. float_of_int (List.length cells)
-        in
-        let converged =
-          List.for_all
-            (fun ((o : Bgp.Mesh_sim.outcome), _, _) -> o.converged)
-            cells
-        in
-        let loops, loop_s =
-          List.fold_left
-            (fun acc ((o : Bgp.Mesh_sim.outcome), _, _) ->
-              List.fold_left
-                (fun (c, s) (_, r) ->
-                  let a =
-                    Loopscan.Scanner.aggregate r
-                      ~until:o.victim_convergence_end
-                  in
-                  (c + a.count, s +. a.total_loop_seconds))
-                acc o.loop_reports)
-            (0, 0.) cells
-        in
-        let heap =
-          List.fold_left (fun a (_, _, h) -> Stdlib.max a h) 0 cells
-        in
-        let paths =
-          List.fold_left
-            (fun a ((o : Bgp.Mesh_sim.outcome), _, _) ->
-              Stdlib.max a o.paths_interned)
-            0 cells
-        in
-        let prefixes =
-          match cells with
-          | ((o : Bgp.Mesh_sim.outcome), _, _) :: _ ->
-              List.length o.prefixes
-          | [] -> 0
-        in
-        [
-          string_of_int n;
-          string_of_int prefixes;
-          string_of_int events;
-          Printf.sprintf "%.3f" wall;
-          (if wall > 0. then
-             Printf.sprintf "%.0f" (float_of_int events /. wall)
-           else "-");
-          Bgpsim.Report.float_cell conv;
-          (if converged then "yes" else "NO");
-          string_of_int loops;
-          Printf.sprintf "%.1f" loop_s;
-          Printf.sprintf "%.1f" (float_of_int heap /. 1e6);
-          string_of_int paths;
-        ])
-      sizes
-  in
-  print_string
-    (Bgpsim.Report.table
-       ~title:
-         (Printf.sprintf
-            "mesh preset: full-mesh T_down on internet graphs (%d seed(s))"
-            (List.length seedl))
-       ~header:
-         [
-           "n"; "prefixes"; "events"; "wall(s)"; "ev/s"; "conv(s)"; "conv?";
-           "loops"; "loop-s"; "heap-Mw"; "paths";
-         ]
-       ~rows)
-
 let sweep_cmd =
   let axis_arg =
     Arg.(
@@ -865,25 +686,9 @@ let sweep_cmd =
   in
   let values_arg =
     Arg.(
-      value
+      required
       & opt (some (list float)) None
-      & info [ "values" ] ~docv:"V1,V2,..."
-          ~doc:"Sweep values. Required unless $(b,--preset) is given.")
-  in
-  let preset_arg =
-    Arg.(
-      value
-      & opt (some (enum [ ("scale", `Scale); ("mesh", `Mesh) ])) None
-      & info [ "preset" ] ~docv:"NAME"
-          ~doc:
-            "Named sweep preset. $(b,scale) times T_down and T_long on \
-             internet-like graphs at sizes 29,48,75,110,300 (override with \
-             $(b,--values)), reporting events/sec, peak heap words and \
-             arena occupancy. $(b,mesh) times full-mesh multi-prefix T_down \
-             (every node originates its own prefix) at sizes 10,20,29,48 \
-             (override with $(b,--values)), additionally reporting loop \
-             counts and loop-seconds summed over all prefixes.  Preset runs \
-             are sequential, so $(b,--jobs) is ignored.")
+      & info [ "values" ] ~docv:"V1,V2,..." ~doc:"Sweep values.")
   in
   let family_arg =
     Arg.(
@@ -903,32 +708,7 @@ let sweep_cmd =
       & info [ "size" ] ~docv:"N" ~doc:"Fixed size when sweeping the MRAI.")
   in
   let action family axis values size event preflight enhancement mrai seed
-      seeds jobs preset =
-    match preset with
-    | Some `Scale ->
-        let sizes =
-          match values with
-          | Some vs -> List.map int_of_float vs
-          | None -> scale_preset_sizes
-        in
-        run_scale_preset ~sizes ~preflight ~enhancement ~mrai
-          ~seeds:(seed_list ~seed ~seeds)
-    | Some `Mesh ->
-        let sizes =
-          match values with
-          | Some vs -> List.map int_of_float vs
-          | None -> mesh_preset_sizes
-        in
-        run_mesh_preset ~sizes ~preflight ~enhancement ~mrai
-          ~seeds:(seed_list ~seed ~seeds)
-    | None ->
-    let values =
-      match values with
-      | Some vs -> vs
-      | None ->
-          prerr_endline "sweep: --values is required unless --preset is given";
-          exit 2
-    in
+      seeds jobs =
     let topology n =
       match family with
       | `Clique -> Bgpsim.Experiment.Clique n
@@ -956,27 +736,23 @@ let sweep_cmd =
         string_of_int m.updates_sent;
       ]
     in
-    let seedl = seed_list ~seed ~seeds in
+    (* a point whose every seed failed (or was skipped by a strict
+       pre-flight) is labelled instead of aborting the whole sweep *)
+    let points =
+      Bgpsim.Sweep.series_robust ~jobs ~make ~seeds:(seed_list ~seed ~seeds)
+        values
+    in
     let rows =
-      if preflight = Analysis.Preflight.Off then
-        List.map
-          (fun (v, m) -> x_cell v :: metric_cells m)
-          (Bgpsim.Sweep.series ~jobs ~make ~seeds:seedl values)
-      else
-        (* with the pre-flight on, a statically-doomed point is skipped
-           (and labelled) instead of aborting the whole sweep *)
-        List.map
-          (fun (v, (r : Bgpsim.Sweep.robust)) ->
-            x_cell v
-            ::
-            (match r.metrics with
-            | Some m -> metric_cells m
-            | None ->
-                let label =
-                  if r.rejected <> [] then "rejected" else "failed"
-                in
-                [ label; "-"; "-"; "-"; "-" ]))
-          (Bgpsim.Sweep.series_robust ~jobs ~make ~seeds:seedl values)
+      List.map
+        (fun (v, (r : Bgpsim.Sweep.robust)) ->
+          x_cell v
+          ::
+          (match r.metrics with
+          | Some m -> metric_cells m
+          | None ->
+              let label = if r.rejected <> [] then "rejected" else "failed" in
+              [ label; "-"; "-"; "-"; "-" ]))
+        points
     in
     print_string
       (Bgpsim.Report.table
@@ -998,20 +774,23 @@ let sweep_cmd =
              "ratio";
              "updates";
            ]
-         ~rows)
+         ~rows);
+    (* every failed run, so a point averaged over fewer seeds shows *)
+    match
+      List.concat_map (fun (_, (r : Bgpsim.Sweep.robust)) -> r.failures) points
+    with
+    | [] -> ()
+    | failures -> Format.printf "@.%s@." (Bgpsim.Sweep.failures_table failures)
   in
   let term =
     Term.(
       const action $ family_arg $ axis_arg $ values_arg $ size_arg $ event_arg
       $ preflight_arg $ enhancement_arg $ mrai_arg $ seed_arg $ seeds_arg
-      $ jobs_arg $ preset_arg)
+      $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "sweep"
-       ~doc:
-         "Sweep network size or MRAI and print the resulting series; \
-          --preset scale runs the large-topology throughput workload and \
-          --preset mesh the full-mesh multi-prefix one")
+       ~doc:"Sweep network size or MRAI and print the resulting series")
     term
 
 (* --- churn --- *)
@@ -1245,14 +1024,9 @@ let topo_cmd =
       & info [ "format" ] ~docv:"FMT" ~doc:"Output format: edges or dot.")
   in
   let action topology format seed =
-    let graph =
-      match (topology : Bgpsim.Experiment.topology) with
-      | Clique n -> Topo.Generators.clique n
-      | B_clique n -> Topo.Generators.b_clique n
-      | Internet n -> Topo.Internet.generate ~seed n
-      | Waxman n -> Topo.Random_graphs.waxman ~seed n
-      | Glp n -> Topo.Random_graphs.glp ~m:2 ~seed n
-      | Custom { graph; _ } -> graph
+    let graph, _, _ =
+      Bgpsim.Experiment.resolve_raw
+        { (Bgpsim.Experiment.default_spec topology) with seed }
     in
     match format with
     | `Edges -> print_string (Topo.Topo_io.to_edge_list graph)

@@ -65,65 +65,34 @@ let gate mode r =
 
 (* -- JSON ---------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
-
-let jfloat x =
-  (* bgpsim-lint: allow D004 — infinity is an exact sentinel, not a computed time *)
-  if x = infinity then "null"
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.6g" x
-
-let jlist items = "[" ^ String.concat "," items ^ "]"
-
-let jobj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields)
-  ^ "}"
-
-let json_path p = jlist (List.map string_of_int p)
+let json_ints l = Json.List (List.map (fun i -> Json.Int i) l)
 
 let json_verdict (v : Spvp.verdict) =
   match v with
   | Spvp.Safe (Spvp.Acyclic_dispute_digraph { paths; arcs }) ->
-      jobj
+      Json.Obj
         [
-          ("result", jstr "safe");
-          ("certificate", jstr "acyclic-dispute-digraph");
-          ("paths", string_of_int paths);
-          ("arcs", string_of_int arcs);
+          ("result", Json.Str "safe");
+          ("certificate", Json.Str "acyclic-dispute-digraph");
+          ("paths", Json.Int paths);
+          ("arcs", Json.Int arcs);
         ]
   | Spvp.Safe Spvp.Gao_rexford_conformant ->
-      jobj
-        [ ("result", jstr "safe"); ("certificate", jstr "gao-rexford") ]
+      Json.Obj
+        [ ("result", Json.Str "safe"); ("certificate", Json.Str "gao-rexford") ]
   | Spvp.Unsafe w ->
-      jobj
+      Json.Obj
         [
-          ("result", jstr "unsafe");
+          ("result", Json.Str "unsafe");
           ( "cycle",
-            jlist
+            Json.List
               (List.map
                  (fun (p, kind) ->
-                   jobj
+                   Json.Obj
                      [
-                       ("path", json_path p);
+                       ("path", json_ints p);
                        ( "arc",
-                         jstr
+                         Json.Str
                            (match kind with
                            | Spvp.Transmission -> "transmission"
                            | Spvp.Dispute -> "dispute") );
@@ -131,72 +100,69 @@ let json_verdict (v : Spvp.verdict) =
                  w.Spvp.cycle) );
         ]
   | Spvp.Unknown reason ->
-      jobj [ ("result", jstr "unknown"); ("reason", jstr reason) ]
+      Json.Obj [ ("result", Json.Str "unknown"); ("reason", Json.Str reason) ]
 
 let json_lint (l : Lint.report) =
-  jobj
+  Json.Obj
     [
       ( "issues",
-        jlist
+        Json.List
           (List.map
              (fun (i : Lint.issue) ->
-               jobj
+               Json.Obj
                  [
-                   ("severity", jstr (Lint.severity_name i.Lint.severity));
-                   ("code", jstr i.Lint.code);
-                   ("message", jstr i.Lint.message);
+                   ("severity", Json.Str (Lint.severity_name i.Lint.severity));
+                   ("code", Json.Str i.Lint.code);
+                   ("message", Json.Str i.Lint.message);
                  ])
              l.Lint.issues) );
       ( "partitions",
-        jlist
+        Json.List
           (List.map
              (fun (p : Lint.partition) ->
-               jobj
+               Json.Obj
                  [
-                   ("from", jfloat p.Lint.from_);
+                   ("from", Json.Float p.Lint.from_);
                    ( "until",
                      match p.Lint.until with
-                     | None -> "null"
-                     | Some t -> jfloat t );
-                   ("nodes", jlist (List.map string_of_int p.Lint.nodes));
+                     | None -> Json.Null
+                     | Some t -> Json.Float t );
+                   ("nodes", json_ints p.Lint.nodes);
                  ])
              l.Lint.partitions) );
-      ("steps_analyzed", string_of_int l.Lint.steps_analyzed);
-      ("random_clauses", string_of_int l.Lint.random_clauses);
+      ("steps_analyzed", Json.Int l.Lint.steps_analyzed);
+      ("random_clauses", Json.Int l.Lint.random_clauses);
     ]
 
 let json_bounds (b : Bounds.t) =
-  jobj
+  Json.Obj
     [
-      ("n_nodes", string_of_int b.Bounds.n_nodes);
-      ("exploration_depth", string_of_int b.Bounds.exploration_depth);
-      ("depth_exact", string_of_bool b.Bounds.depth_exact);
-      ("rank_max", jfloat b.Bounds.rank_max);
-      ("paths_total", jfloat b.Bounds.paths_total);
-      ("mrai_rounds", jfloat b.Bounds.mrai_rounds);
-      ("time_bound_s", jfloat b.Bounds.time_bound_s);
+      ("n_nodes", Json.Int b.Bounds.n_nodes);
+      ("exploration_depth", Json.Int b.Bounds.exploration_depth);
+      ("depth_exact", Json.Bool b.Bounds.depth_exact);
+      ("rank_max", Json.Float b.Bounds.rank_max);
+      ("paths_total", Json.Float b.Bounds.paths_total);
+      ("mrai_rounds", Json.Float b.Bounds.mrai_rounds);
+      ("time_bound_s", Json.Float b.Bounds.time_bound_s);
       ( "time_certainty",
-        jstr (Bounds.certainty_name b.Bounds.time_certainty) );
-      ("updates_bound", jfloat b.Bounds.updates_bound);
-      ("epochs", string_of_int b.Bounds.epochs);
+        Json.Str (Bounds.certainty_name b.Bounds.time_certainty) );
+      ("updates_bound", Json.Float b.Bounds.updates_bound);
+      ("epochs", Json.Int b.Bounds.epochs);
     ]
 
 let to_json r =
-  let fields =
-    [
-      ("policy_safety", json_verdict r.spvp.Spvp.verdict);
-      ( "unreachable",
-        jlist (List.map string_of_int r.spvp.Spvp.unreachable) );
-    ]
+  Json.Obj
+    ([
+       ("policy_safety", json_verdict r.spvp.Spvp.verdict);
+       ("unreachable", json_ints r.spvp.Spvp.unreachable);
+     ]
     @ (match r.lint with
       | None -> []
       | Some l -> [ ("scenario_lint", json_lint l) ])
     @ [
         ("bounds", json_bounds r.bounds);
-        ("admissible", string_of_bool (blocking r = []));
-      ]
-  in
-  jobj fields
+        ("admissible", Json.Bool (blocking r = []));
+      ])
 
 let pp fmt r =
   Format.fprintf fmt "@[<v>pre-flight: %a" Spvp.pp r.spvp;

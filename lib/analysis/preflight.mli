@@ -53,7 +53,7 @@ val mode_of_string : string -> (mode, string) result
 
 val mode_name : mode -> string
 
-val to_json : report -> string
+val to_json : report -> Json.t
 (** Self-contained JSON object (verdict, witness cycle, lint issues,
     partitions, bounds) for CI artifacts. *)
 

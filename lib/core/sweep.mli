@@ -127,6 +127,17 @@ type robust = {
   failures : run_failure list;
 }
 
+val robust_of_results :
+  Experiment.spec ->
+  seeds:int list ->
+  (Metrics.Run_metrics.t, exn) result list ->
+  robust
+(** The summary behind {!over_seeds_robust} and {!series_robust}: one
+    {!run_batch} result per seed of [spec], in seed order, folded into
+    a {!robust}.  A strict pre-flight's {!Analysis.Preflight.Rejected}
+    counts as [rejected], any other exception as a failure.  Exposed
+    for callers that build their own per-seed thunks. *)
+
 val over_seeds_robust :
   ?on_dispatch:(dispatch -> unit) ->
   ?pool:Parallel.t ->

@@ -8,7 +8,7 @@
      directive without a justification is a config error, never a
      silent pass;
    - report classification, exit codes, and the --json schema
-     round-trip;
+     round-trip, plus the shared JSON writer's floats and escapes;
    - tree coverage: real library units load from their built cmts,
      their per-site suppressions register, and the allowlist carries
      no blanket entry for them. *)
@@ -291,6 +291,32 @@ let test_json_schema_tag () =
       | Some schema ->
           Alcotest.(check string) "schema tag" Report.schema schema)
 
+let test_json_float () =
+  let emit x = Json.to_string (Json.Float x) in
+  Alcotest.(check string) "integral" "3" (emit 3.);
+  Alcotest.(check string) "fraction" "1.5e-07" (emit 1.5e-7);
+  Alcotest.(check string) "infinity" "null" (emit infinity);
+  Alcotest.(check string) "nan" "null" (emit Float.nan);
+  (* parsing the emitted bytes and emitting again is the identity *)
+  List.iter
+    (fun x ->
+      match Json.of_string (emit x) with
+      | Error e -> Alcotest.fail e
+      | Ok v -> Alcotest.(check string) "re-emitted" (emit x) (Json.to_string v))
+    [ 3.; 1.5e-7; infinity ];
+  Alcotest.(check bool)
+    "an exponent reads back as Float" true
+    (Json.of_string (emit 1.5e-7) = Ok (Json.Float 1.5e-7))
+
+let test_json_escaped_string () =
+  let name = "tri\"q\\edges" in
+  match Json.of_string (Json.to_string (Json.Obj [ ("name", Json.Str name) ])) with
+  | Error e -> Alcotest.fail e
+  | Ok j ->
+      Alcotest.(check (option string))
+        "quote and backslash survive" (Some name)
+        (Option.bind (Json.member "name" j) Json.to_str)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "lint_src"
@@ -320,6 +346,8 @@ let () =
         [
           tc "round-trip" test_json_roundtrip;
           tc "schema tag" test_json_schema_tag;
+          tc "float round-trip" test_json_float;
+          tc "escaped string round-trip" test_json_escaped_string;
         ] );
       ( "tree coverage",
         [
