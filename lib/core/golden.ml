@@ -47,40 +47,79 @@ let digest f = Obs.Trace_digest.of_events (events f)
 
 let digest_line f = Printf.sprintf "%s %s" f.name (digest f)
 
-(* Full-mesh multi-prefix fixtures: clique 5, every node originating
-   its own prefix, node 0's prefix withdrawn, seed 1; they differ only
-   in the BGP configuration.  Not [Experiment.spec]s (those are
-   single-prefix), so they live outside [fixtures].  Their digests pin
-   the per-prefix trace tagging, the slot-indexed RIB arrays and the
-   batched MRAI release order — plain, with Ghost Flushing (held keys
-   plus [send_now ~keep_pending:true]) and with WRATE withdrawals
-   queued behind a Fifo limiter. *)
-type mesh_fixture = { mesh_name : string; config : Bgp.Config.t }
+(* Full-mesh multi-prefix fixtures: every node originating its own
+   prefix, the victim's prefix withdrawn, seed 1.  Not
+   [Experiment.spec]s (those are single-prefix), so they live outside
+   [fixtures].  Their digests pin the per-prefix trace tagging, the
+   slot-indexed RIB arrays and the batched MRAI release order — plain,
+   with Ghost Flushing (held keys plus [send_now ~keep_pending:true])
+   and with WRATE withdrawals queued behind a Fifo limiter.  With the
+   processing delay fixed at 0 every completion ties with its arrival,
+   so only the engine's sequence numbers order the router queues; the
+   internet-29 churn run drives those queues hundreds deep. *)
+type mesh_fixture = {
+  mesh_name : string;
+  graph : Topo.Graph.t;
+  victim : int;
+  params : Netcore.Params.t;
+  config : Bgp.Config.t;
+  churn : Bgp.Mesh_sim.churn option;
+}
+
+let clique5_mesh mesh_name ?(params = Netcore.Params.default) config =
+  {
+    mesh_name;
+    graph = Topo.Generators.clique 5;
+    victim = 0;
+    params;
+    config;
+    churn = None;
+  }
+
+let zero_proc =
+  { Netcore.Params.default with proc_delay_min = 0.; proc_delay_max = 0. }
+
+let ghost_flushing =
+  Bgp.Config.of_enhancement ~mrai:30. Bgp.Enhancement.Ghost_flushing
+
+(* The perfbench mesh-churn recipe at a size a test can afford: the
+   first min-degree node is the victim, the first 5 others flap. *)
+let internet29_mesh_churn =
+  let graph = Topo.Internet.generate ~seed:1 29 in
+  let victim = List.hd (Topo.Graph.min_degree_nodes graph) in
+  let flappers =
+    List.filter (fun i -> i <> victim) (List.init 29 Fun.id)
+    |> List.filteri (fun i _ -> i < 5)
+  in
+  {
+    mesh_name = "internet29-mesh-churn";
+    graph;
+    victim;
+    params = Netcore.Params.default;
+    config = Bgp.Config.default;
+    churn = Some { Bgp.Mesh_sim.period = 60.; cycles = 4; flappers };
+  }
 
 let mesh_fixtures =
   [
-    { mesh_name = "clique5-mesh"; config = Bgp.Config.default };
-    {
-      mesh_name = "clique5-mesh-gf";
-      config =
-        Bgp.Config.of_enhancement ~mrai:30. Bgp.Enhancement.Ghost_flushing;
-    };
-    {
-      mesh_name = "clique5-mesh-wrate-fifo";
-      config =
-        {
-          (Bgp.Config.of_enhancement ~mrai:30. Bgp.Enhancement.Wrate) with
-          rate_limiter = Bgp.Mrai.Fifo;
-        };
-    };
+    clique5_mesh "clique5-mesh" Bgp.Config.default;
+    clique5_mesh "clique5-mesh-gf" ghost_flushing;
+    clique5_mesh "clique5-mesh-wrate-fifo"
+      {
+        (Bgp.Config.of_enhancement ~mrai:30. Bgp.Enhancement.Wrate) with
+        rate_limiter = Bgp.Mrai.Fifo;
+      };
+    clique5_mesh "clique5-mesh-zero-proc" ~params:zero_proc Bgp.Config.default;
+    clique5_mesh "clique5-mesh-gf-zero-proc" ~params:zero_proc ghost_flushing;
+    internet29_mesh_churn;
   ]
 
 let mesh_events m =
   let sink, contents = Obs.Sink.memory () in
   let obs = Obs.Bus.create ~sink () in
   let (_ : Bgp.Mesh_sim.outcome) =
-    Bgp.Mesh_sim.run ~obs ~config:m.config ~graph:(Topo.Generators.clique 5)
-      ~victim:0 ~seed:1 ()
+    Bgp.Mesh_sim.run ~obs ~params:m.params ~config:m.config ?churn:m.churn
+      ~graph:m.graph ~victim:m.victim ~seed:1 ()
   in
   contents ()
 

@@ -33,16 +33,31 @@ val digest : fixture -> string
 val digest_line : fixture -> string
 (** ["<name> <digest>"] — the fixture-file line format. *)
 
-type mesh_fixture = { mesh_name : string; config : Bgp.Config.t }
-(** A full-mesh multi-prefix fixture: clique 5, every node originating
-    its own prefix, node 0's prefix withdrawn, seed 1, under [config].
-    Not an {!Experiment.spec} (those are single-prefix), so mesh
-    fixtures are listed in {!mesh_fixtures} instead of {!fixtures}. *)
+type mesh_fixture = {
+  mesh_name : string;
+  graph : Topo.Graph.t;
+  victim : int;  (** index of the withdrawn origin (every node originates) *)
+  params : Netcore.Params.t;
+  config : Bgp.Config.t;
+  churn : Bgp.Mesh_sim.churn option;
+}
+(** A full-mesh multi-prefix fixture: every node of [graph] originating
+    its own prefix, [victim]'s prefix withdrawn, seed 1, under [params]
+    and [config], with the optional background [churn].  Not an
+    {!Experiment.spec} (those are single-prefix), so mesh fixtures are
+    listed in {!mesh_fixtures} instead of {!fixtures}. *)
 
 val mesh_fixtures : mesh_fixture list
-(** ["clique5-mesh"] (default configuration), ["clique5-mesh-gf"]
-    (Ghost Flushing) and ["clique5-mesh-wrate-fifo"] (WRATE with the
-    [Fifo] rate limiter), all at MRAI 30 s. *)
+(** On clique 5 with victim 0, all at MRAI 30 s: ["clique5-mesh"]
+    (default configuration), ["clique5-mesh-gf"] (Ghost Flushing),
+    ["clique5-mesh-wrate-fifo"] (WRATE with the [Fifo] rate limiter),
+    and ["clique5-mesh-zero-proc"] and ["clique5-mesh-gf-zero-proc"]
+    (default and Ghost Flushing with the processing delay fixed at 0,
+    so every completion ties with its arrival and only sequence
+    numbers order the router queues).  Then
+    ["internet29-mesh-churn"]: [Topo.Internet.generate ~seed:1 29],
+    the first min-degree node withdrawn while the first 5 other nodes
+    flap for 4 cycles of 60 s. *)
 
 val mesh_events : mesh_fixture -> Obs.Event.t list
 (** Run a full-mesh fixture with a memory sink and return its
