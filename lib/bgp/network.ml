@@ -31,7 +31,7 @@ type t = {
   origins : (int * Prefix.t) list;
   links : Netcore.Link.t array;  (* edge order *)
   adj : (int * Netcore.Link.t) array array;  (* per node, by neighbour *)
-  procs : Netcore.Node_proc.t array;
+  mutable procs : Msg.t Netcore.Node_proc.t array;
   mutable speakers : Speaker.t array;
   mutable paths : As_path.Table.t;
 }
@@ -79,40 +79,44 @@ let prefix_tag t msg =
       Some (Prefix.Table.id table (Msg.prefix msg))
   | Some _ | None -> None
 
+let is_withdraw (msg : Msg.t) =
+  match msg with Withdraw _ -> true | Announce _ -> false
+
 let emit t src ~peer msg =
   let link = link t src peer in
   let engine = t.engine in
   let now = Dessim.Engine.now engine in
-  let withdraw =
-    match (msg : Msg.t) with Withdraw _ -> true | Announce _ -> false
-  in
-  let prefix = prefix_tag t msg in
   (match t.trace with
   | Some trace ->
       Netcore.Trace.log_send trace ~time:now ~src ~dst:peer
         ~kind:(Msg.kind msg)
   | None -> ());
-  Obs.Bus.update_sent ?prefix t.obs ~time:now ~src ~dst:peer ~withdraw;
+  Obs.Bus.update_sent ?prefix:(prefix_tag t msg) t.obs ~time:now ~src
+    ~dst:peer ~withdraw:(is_withdraw msg);
   (match t.on_send with Some f -> f msg | None -> ());
   let deliver () =
     let delay =
       Dessim.Rng.uniform t.proc_rng ~lo:t.params.proc_delay_min
         ~hi:t.params.proc_delay_max
     in
-    Netcore.Node_proc.submit t.procs.(peer) ~engine ~delay ~work:(fun () ->
-        let now = Dessim.Engine.now engine in
-        (match t.trace with
-        | Some trace ->
-            Netcore.Trace.log_process trace ~time:now ~node:peer ~from:src
-              ~kind:(Msg.kind msg)
-        | None -> ());
-        Obs.Bus.update_recv ?prefix t.obs ~time:now ~node:peer ~from:src
-          ~withdraw;
-        Speaker.handle_msg t.speakers.(peer) ~from:src msg)
+    Netcore.Node_proc.submit t.procs.(peer) ~delay ~from:src msg
   in
   (* A send onto a dead link is dropped silently, like packets into a
      torn-down TCP session. *)
   ignore (Netcore.Link.send link ~engine ~from:src ~deliver : bool)
+
+(* Router [node]'s protocol handler, run when its CPU finishes a
+   message from [from]. *)
+let process t node ~from msg =
+  let now = Dessim.Engine.now t.engine in
+  (match t.trace with
+  | Some trace ->
+      Netcore.Trace.log_process trace ~time:now ~node ~from
+        ~kind:(Msg.kind msg)
+  | None -> ());
+  Obs.Bus.update_recv ?prefix:(prefix_tag t msg) t.obs ~time:now ~node ~from
+    ~withdraw:(is_withdraw msg);
+  Speaker.handle_msg t.speakers.(node) ~from msg
 
 let create ?(params = Netcore.Params.default) ?(config = Config.default)
     ?(invariants = Faults.Invariant.Off) ?(obs = Obs.Bus.off) ?profile ?trace
@@ -166,12 +170,15 @@ let create ?(params = Netcore.Params.default) ?(config = Config.default)
       origins;
       links;
       adj = Array.map (fun l -> Array.of_list (List.sort by_peer l)) adj;
-      procs =
-        Array.init n (fun i -> Netcore.Node_proc.create ~obs ~node:i ());
+      procs = [||];
       speakers = [||];
       paths = As_path.Table.create ();
     }
   in
+  t.procs <-
+    Array.init n (fun i ->
+        Netcore.Node_proc.create ~obs ~node:i ~engine ~process:(process t i)
+          ());
   t.speakers <-
     Array.init n (fun i ->
         Speaker.create ~checker ~obs ~prefix_obs:(Option.is_some prefixes)

@@ -109,13 +109,25 @@ let sift_down t i time seq item =
   Array.unsafe_set t.seqs !i seq;
   Array.unsafe_set t.items !i item
 
-let push t ~time item =
-  if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
+let reserve t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
+  seq
+
+let insert t ~time ~seq item =
   ensure_capacity t;
   t.size <- t.size + 1;
   sift_up t (t.size - 1) time seq item
+
+let push t ~time item =
+  if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
+  insert t ~time ~seq:(reserve t) item
+
+let push_reserved t ~time ~seq item =
+  if Float.is_nan time then invalid_arg "Event_queue.push_reserved: NaN time";
+  if seq < 0 || seq >= t.next_seq then
+    invalid_arg "Event_queue.push_reserved: sequence number not reserved";
+  insert t ~time ~seq item
 
 let top_time t = t.times.(0)
 

@@ -12,7 +12,25 @@ val is_empty : 'a t -> bool
 val size : 'a t -> int
 
 val push : 'a t -> time:float -> 'a -> unit
-(** @raise Invalid_argument if [time] is NaN. *)
+(** [push t ~time x = push_reserved t ~time ~seq:(reserve t) x].
+    @raise Invalid_argument if [time] is NaN. *)
+
+(** {2 Reserved sequence numbers}
+
+    A caller can take an item's sequence number now and push the item
+    later: it is then ordered exactly as if it had been pushed when its
+    number was reserved.  A router's processing queue uses this to keep
+    only its head in the engine's heap. *)
+
+val reserve : 'a t -> int
+(** Takes the next sequence number, the one the next {!push} would
+    have used. *)
+
+val push_reserved : 'a t -> time:float -> seq:int -> 'a -> unit
+(** Inserts an item under a number from {!reserve}, which must be
+    pushed at most once.
+    @raise Invalid_argument if [time] is NaN or [seq] was never
+    reserved. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Removes and returns the earliest item. *)

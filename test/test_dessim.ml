@@ -257,6 +257,52 @@ let test_engine_equal_time_fifo () =
   Dessim.Engine.run e;
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4; 5 ] (List.rev !log)
 
+(* Each item takes its number in list order; a deferred one is pushed
+   under its reserved number after all the others, in a shuffled
+   order, into one queue, and pushed at once into the reference. *)
+let prop_reserved_push_order =
+  QCheck.Test.make
+    ~name:"reserved pushes pop as if pushed at reservation" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 0 60)
+           (pair (oneofl [ 0.; 0.5; 1.; 2. ]) bool))
+        small_nat)
+    (fun (items, shuffle_seed) ->
+      let q = Dessim.Event_queue.create () in
+      let reference = Dessim.Event_queue.create () in
+      let deferred =
+        List.concat
+          (List.mapi
+             (fun i (time, defer) ->
+               Dessim.Event_queue.push reference ~time i;
+               if defer then [ (time, Dessim.Event_queue.reserve q, i) ]
+               else (
+                 Dessim.Event_queue.push q ~time i;
+                 []))
+             items)
+        |> Array.of_list
+      in
+      Dessim.Rng.shuffle (Dessim.Rng.create ~seed:shuffle_seed) deferred;
+      Array.iter
+        (fun (time, seq, i) -> Dessim.Event_queue.push_reserved q ~time ~seq i)
+        deferred;
+      let rec drain q acc =
+        match Dessim.Event_queue.pop q with
+        | None -> List.rev acc
+        | Some x -> drain q (x :: acc)
+      in
+      drain q [] = drain reference [])
+
+let test_queue_rejects_unreserved () =
+  let q = Dessim.Event_queue.create () in
+  let seq = Dessim.Event_queue.reserve q in
+  Alcotest.check_raises "never reserved"
+    (Invalid_argument "Event_queue.push_reserved: sequence number not reserved")
+    (fun () -> Dessim.Event_queue.push_reserved q ~time:0. ~seq:(seq + 1) ());
+  Dessim.Event_queue.push_reserved q ~time:0. ~seq ();
+  Alcotest.(check int) "reserved one accepted" 1 (Dessim.Event_queue.size q)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "dessim"
@@ -286,6 +332,8 @@ let () =
           tc "peek and size" test_queue_peek;
           tc "rejects NaN" test_queue_rejects_nan;
           QCheck_alcotest.to_alcotest prop_queue_pops_sorted;
+          tc "rejects unreserved seq" test_queue_rejects_unreserved;
+          QCheck_alcotest.to_alcotest prop_reserved_push_order;
         ] );
       ( "engine",
         [

@@ -306,12 +306,14 @@ let test_link_rejects_non_endpoint () =
 
 let test_node_proc_serializes () =
   let engine = Dessim.Engine.create () in
-  let proc = Netcore.Node_proc.create () in
   let completions = ref [] in
-  let submit delay tag =
-    Netcore.Node_proc.submit proc ~engine ~delay ~work:(fun () ->
+  let proc =
+    Netcore.Node_proc.create ~engine
+      ~process:(fun ~from:_ tag ->
         completions := (tag, Dessim.Engine.now engine) :: !completions)
+      ()
   in
+  let submit delay tag = Netcore.Node_proc.submit proc ~delay ~from:1 tag in
   (* two messages arriving back-to-back at t=0 *)
   submit 0.3 "first";
   submit 0.2 "second";
@@ -324,25 +326,29 @@ let test_node_proc_serializes () =
 
 let test_node_proc_idle_gap () =
   let engine = Dessim.Engine.create () in
-  let proc = Netcore.Node_proc.create () in
   let finish = ref 0. in
-  Netcore.Node_proc.submit proc ~engine ~delay:0.1 ~work:(fun () ->
-      finish := Dessim.Engine.now engine);
+  let proc =
+    Netcore.Node_proc.create ~engine
+      ~process:(fun ~from:_ () -> finish := Dessim.Engine.now engine)
+      ()
+  in
+  Netcore.Node_proc.submit proc ~delay:0.1 ~from:1 ();
   Dessim.Engine.run engine;
   Alcotest.(check (float 1e-9)) "first done" 0.1 !finish;
   (* a message arriving after the CPU went idle starts immediately *)
   ignore
     (Dessim.Engine.schedule engine ~at:5. (fun () ->
-         Netcore.Node_proc.submit proc ~engine ~delay:0.1 ~work:(fun () ->
-             finish := Dessim.Engine.now engine)));
+         Netcore.Node_proc.submit proc ~delay:0.1 ~from:1 ()));
   Dessim.Engine.run engine;
   Alcotest.(check (float 1e-9)) "no stale backlog" 5.1 !finish
 
 let test_node_proc_queue_depth () =
   let engine = Dessim.Engine.create () in
-  let proc = Netcore.Node_proc.create () in
-  Netcore.Node_proc.submit proc ~engine ~delay:0.5 ~work:(fun () -> ());
-  Netcore.Node_proc.submit proc ~engine ~delay:0.5 ~work:(fun () -> ());
+  let proc =
+    Netcore.Node_proc.create ~engine ~process:(fun ~from:_ () -> ()) ()
+  in
+  Netcore.Node_proc.submit proc ~delay:0.5 ~from:1 ();
+  Netcore.Node_proc.submit proc ~delay:0.5 ~from:1 ();
   Alcotest.(check int) "two queued" 2 (Netcore.Node_proc.queue_depth proc);
   Dessim.Engine.run engine;
   Alcotest.(check int) "drained" 0 (Netcore.Node_proc.queue_depth proc);
@@ -351,12 +357,137 @@ let test_node_proc_queue_depth () =
 
 let test_node_proc_rejects_negative () =
   let engine = Dessim.Engine.create () in
-  let proc = Netcore.Node_proc.create () in
+  let proc =
+    Netcore.Node_proc.create ~engine ~process:(fun ~from:_ () -> ()) ()
+  in
   Alcotest.(check bool) "raises" true
     (try
-       Netcore.Node_proc.submit proc ~engine ~delay:(-0.1) ~work:(fun () -> ());
+       Netcore.Node_proc.submit proc ~delay:(-0.1) ~from:1 ();
        false
      with Invalid_argument _ -> true)
+
+(* Lane vs one engine event per message.  A script of plain engine
+   events at colliding times submits messages to three processors
+   sharing one engine; a processed message may submit follow-ups or
+   schedule a plain tick.  The reference schedules each message as its
+   own event at [max now busy_until + delay]; run in lockstep, both
+   must log the same firings and show the same depths, [busy_until]s
+   and event counts after every step. *)
+type lane_action = Submit of lane_msg | Tick of float
+
+and lane_msg = {
+  node : int;
+  from : int;
+  delay : float;
+  id : int;
+  next : lane_action list;
+}
+
+let gen_lane_script =
+  let open QCheck.Gen in
+  let delay = oneofl [ 0.; 0.1; 0.25 ] in
+  let msg next =
+    map
+      (fun ((node, from, delay), (id, next)) -> { node; from; delay; id; next })
+      (pair
+         (triple (int_bound 2) (int_bound 4) delay)
+         (pair (int_bound 999) next))
+  in
+  let leaf = msg (return []) in
+  let follow_ups = list_size (int_bound 2) (map (fun m -> Submit m) leaf) in
+  let action =
+    frequency
+      [
+        (4, map (fun m -> Submit m) (msg follow_ups));
+        (1, map (fun d -> Tick d) delay);
+      ]
+  in
+  list_size (int_range 1 8)
+    (pair (oneofl [ 0.; 0.1; 0.25; 0.35 ]) (list_size (int_bound 4) action))
+
+type lane_run = {
+  engine : Dessim.Engine.t;
+  log : (float * int * int * int) list ref;  (* time, node, from, id *)
+  depth : int -> int;
+  busy : int -> float;
+}
+
+(* [make engine fired] builds the processors under test and returns
+   their submit function and per-node depth and busy_until readers;
+   [fired node ~from msg] is the handler they run. *)
+let lane_run ~make script =
+  let engine = Dessim.Engine.create () in
+  let log = ref [] in
+  let submit = ref (fun (_ : lane_msg) -> ()) in
+  let rec run_actions actions =
+    List.iter
+      (function
+        | Submit m -> !submit m
+        | Tick d ->
+            ignore
+              (Dessim.Engine.schedule_after engine ~delay:d (fun () ->
+                   log := (Dessim.Engine.now engine, -1, -1, -1) :: !log)))
+      actions
+  and fired node ~from m =
+    log := (Dessim.Engine.now engine, node, from, m.id) :: !log;
+    run_actions m.next
+  in
+  let sub, depth, busy = make engine fired in
+  submit := sub;
+  List.iter
+    (fun (at, actions) ->
+      ignore (Dessim.Engine.schedule engine ~at (fun () -> run_actions actions)))
+    script;
+  { engine; log; depth; busy }
+
+let make_lane engine fired =
+  let procs =
+    Array.init 3 (fun node ->
+        Netcore.Node_proc.create ~engine ~process:(fired node) ())
+  in
+  ( (fun m ->
+      Netcore.Node_proc.submit procs.(m.node) ~delay:m.delay ~from:m.from m),
+    (fun i -> Netcore.Node_proc.queue_depth procs.(i)),
+    fun i -> Netcore.Node_proc.busy_until procs.(i) )
+
+type ref_proc = { mutable busy_until : float; mutable queued : int }
+
+let make_reference engine fired =
+  let procs =
+    Array.init 3 (fun _ -> { busy_until = neg_infinity; queued = 0 })
+  in
+  let submit m =
+    let p = procs.(m.node) in
+    let at = Float.max (Dessim.Engine.now engine) p.busy_until +. m.delay in
+    p.busy_until <- at;
+    p.queued <- p.queued + 1;
+    ignore
+      (Dessim.Engine.schedule engine ~at (fun () ->
+           p.queued <- p.queued - 1;
+           fired m.node ~from:m.from m))
+  in
+  (submit, (fun i -> procs.(i).queued), fun i -> procs.(i).busy_until)
+
+let lane_state r =
+  ( !(r.log),
+    List.init 3 r.depth,
+    List.init 3 r.busy,
+    Dessim.Engine.events_executed r.engine )
+
+let prop_lane_matches_per_message_events =
+  QCheck.Test.make ~name:"lane matches one event per message" ~count:500
+    (QCheck.make gen_lane_script)
+    (fun script ->
+      let lane = lane_run ~make:make_lane script in
+      let reference = lane_run ~make:make_reference script in
+      let rec lockstep () =
+        let a = Dessim.Engine.step lane.engine in
+        let b = Dessim.Engine.step reference.engine in
+        a = b
+        && lane_state lane = lane_state reference
+        && ((not a) || lockstep ())
+      in
+      lockstep ())
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -403,5 +534,6 @@ let () =
           tc "idle gap resets" test_node_proc_idle_gap;
           tc "queue depth" test_node_proc_queue_depth;
           tc "rejects negative delay" test_node_proc_rejects_negative;
+          QCheck_alcotest.to_alcotest prop_lane_matches_per_message_events;
         ] );
     ]
