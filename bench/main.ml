@@ -377,12 +377,11 @@ let ablations () =
         ])
       [
         ( "lowest-id (paper)",
-          fun ~self:_ (a : Bgp.Policy.candidate) (b : Bgp.Policy.candidate) ->
-            Bgp.As_path.compare a.path b.path );
+          fun ~self:_ _ a _ b -> Bgp.As_path.compare a b );
         ( "highest-id",
-          fun ~self:_ (a : Bgp.Policy.candidate) (b : Bgp.Policy.candidate) ->
-            let c = compare (Bgp.As_path.length a.path) (Bgp.As_path.length b.path) in
-            if c <> 0 then c else Bgp.As_path.compare_lex b.path a.path );
+          fun ~self:_ _ a _ b ->
+            let c = compare (Bgp.As_path.length a) (Bgp.As_path.length b) in
+            if c <> 0 then c else Bgp.As_path.compare_lex b a );
       ]
   in
   print_string

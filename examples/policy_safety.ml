@@ -17,16 +17,15 @@ let gadget_graph () =
    assignment *)
 let gadget_policy () =
   let clockwise = function 1 -> 2 | 2 -> 3 | 3 -> 1 | _ -> 0 in
-  let rank ~self (c : Bgp.Policy.candidate) =
-    match Bgp.As_path.to_list c.path with
+  let rank ~self path =
+    match Bgp.As_path.to_list path with
     | [ v; 0 ] when v = clockwise self -> 0
     | [ 0 ] -> 1
     | _ -> 2
   in
-  let prefer ~self a b =
+  let prefer ~self _ a _ b =
     let c = compare (rank ~self a) (rank ~self b) in
-    if c <> 0 then c
-    else Bgp.As_path.compare a.Bgp.Policy.path b.Bgp.Policy.path
+    if c <> 0 then c else Bgp.As_path.compare a b
   in
   { Bgp.Policy.shortest_path with prefer; name = "bad-gadget" }
 

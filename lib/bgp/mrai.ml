@@ -13,11 +13,13 @@ type mode = Collapse | Fifo
    interval draws, same fire times: golden traces depend on that
    equivalence. *)
 
-(* A key's [keys] cell holds its state (and the state sits once in
-   [deadlines]) iff its interval is running, i.e. it transmitted less
-   than one interval ago. *)
+(* A key's state is made the first time its interval starts and kept
+   for the limiter's life.  It is [live] (and sits once in [deadlines])
+   iff its interval is running, i.e. it transmitted less than one
+   interval ago; a key that is not live holds no message. *)
 type 'msg key_state = {
   key : int;
+  mutable live : bool;
   mutable until : float;  (* absolute vtime the interval expires *)
   queue : 'msg Queue.t;
       (* Collapse keeps at most one element; Fifo keeps them all.  May
@@ -31,7 +33,8 @@ type 'msg t = {
   draw_interval : unit -> float;
   transmit : key:int -> 'msg -> bool;
   on_fire : (unit -> unit) option;
-  mutable keys : 'msg key_state option array;  (* by key, grown on demand *)
+  mutable keys : 'msg key_state option array;
+      (* by key, grown on demand; a state once made is never dropped *)
   mutable deadlines : 'msg key_state Dessim.Event_queue.t;
       (* running keys keyed on [until]; equal deadlines pop in push
          (= interval-start) order *)
@@ -59,7 +62,12 @@ let check_key fn key =
 
 (* The key's state when its interval is running.  [key] is checked
    non-negative by every entry point. *)
-let running t key = if key < Array.length t.keys then t.keys.(key) else None
+let running t key =
+  if key < Array.length t.keys then
+    match t.keys.(key) with
+    | Some st as running when st.live -> running
+    | Some _ | None -> None
+  else None
 
 (* Transmit [st]'s first pending message that really leaves, dropping
    the suppressed duplicates before it. *)
@@ -103,14 +111,22 @@ let rec ensure_timer_at t ~at =
 (* Start [key]'s interval just after it transmitted. *)
 and begin_interval t key ~now =
   let until = now +. t.draw_interval () in
-  let st = { key; until; queue = Queue.create () } in
   let n = Array.length t.keys in
   if key >= n then begin
     let keys = Array.make (Stdlib.max (key + 1) (2 * n)) None in
     Array.blit t.keys 0 keys 0 n;
     t.keys <- keys
   end;
-  t.keys.(key) <- Some st;
+  let st =
+    match t.keys.(key) with
+    | Some st -> st
+    | None ->
+        let st = { key; live = false; until; queue = Queue.create () } in
+        t.keys.(key) <- Some st;
+        st
+  in
+  st.live <- true;
+  st.until <- until;
   Dessim.Event_queue.push t.deadlines ~time:until st;
   ensure_timer_at t ~at:until
 
@@ -136,7 +152,7 @@ and fire t =
       st.until <- now +. t.draw_interval ();
       rearmed := st :: !rearmed
     end
-    else t.keys.(st.key) <- None
+    else st.live <- false
   done;
   push_rearmed t !rearmed;
   if not (Dessim.Event_queue.is_empty t.deadlines) then
@@ -180,6 +196,10 @@ let pending_count t = t.pending_total
 let reset t =
   Option.iter Dessim.Engine.cancel t.handle;
   t.handle <- None;
-  Array.fill t.keys 0 (Array.length t.keys) None;
+  Array.iter
+    (Option.iter (fun st ->
+         st.live <- false;
+         Queue.clear st.queue))
+    t.keys;
   t.deadlines <- Dessim.Event_queue.create ();
   t.pending_total <- 0

@@ -79,6 +79,8 @@ let clear t =
 
 let cardinal t = Array.length t.order
 
+let slot_at t i = t.order.(i)
+
 let iter_slots f t =
   let order = t.order and ids = t.ids in
   for i = 0 to Array.length order - 1 do

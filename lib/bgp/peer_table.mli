@@ -49,6 +49,11 @@ val clear : t -> unit
 val cardinal : t -> int
 (** Number of live peers. *)
 
+val slot_at : t -> int -> int
+(** [slot_at t i] is the [i]th live slot in ascending peer id, for
+    [0 <= i < cardinal t]: with {!cardinal}, a plain loop over the
+    slots {!iter_slots} visits, with no closure. *)
+
 val iter_slots : (int -> int -> unit) -> t -> unit
 (** [iter_slots f t] calls [f slot peer] for every live peer, in
     ascending peer id. *)

@@ -1,17 +1,15 @@
-type candidate = { peer : int; path : As_path.t }
-
 type t = {
   name : string;
-  prefer : self:int -> candidate -> candidate -> int;
-  import_ok : self:int -> candidate -> bool;
+  prefer : self:int -> int -> As_path.t -> int -> As_path.t -> int;
+  import_ok : self:int -> int -> As_path.t -> bool;
   export_ok : self:int -> to_peer:int -> learned_from:int option -> bool;
 }
 
 let shortest_path =
   {
     name = "shortest-path";
-    prefer = (fun ~self:_ a b -> As_path.compare a.path b.path);
-    import_ok = (fun ~self:_ _ -> true);
+    prefer = (fun ~self:_ _ a _ b -> As_path.compare a b);
+    import_ok = (fun ~self:_ _ _ -> true);
     export_ok = (fun ~self:_ ~to_peer:_ ~learned_from:_ -> true);
   }
 
@@ -20,10 +18,9 @@ type relationship = Customer | Peer_rel | Provider
 let class_rank = function Customer -> 0 | Peer_rel -> 1 | Provider -> 2
 
 let gao_rexford ~rel =
-  let prefer ~self a b =
-    let ca = class_rank (rel self a.peer) and cb = class_rank (rel self b.peer) in
-    let c = compare ca cb in
-    if c <> 0 then c else As_path.compare a.path b.path
+  let prefer ~self p a q b =
+    let c = compare (class_rank (rel self p)) (class_rank (rel self q)) in
+    if c <> 0 then c else As_path.compare a b
   in
   (* Valley-free export: own and customer-learned routes go to everyone;
      peer- and provider-learned routes go to customers only. *)
@@ -38,7 +35,7 @@ let gao_rexford ~rel =
   {
     name = "gao-rexford";
     prefer;
-    import_ok = (fun ~self:_ _ -> true);
+    import_ok = (fun ~self:_ _ _ -> true);
     export_ok;
   }
 

@@ -13,18 +13,20 @@
     valley-free export, provided as an extension beyond the paper (see
     DESIGN.md §7). *)
 
-type candidate = { peer : int; path : As_path.t }
-(** A usable Adj-RIB-In entry: [path] as received from [peer] (its head
-    is [peer]). *)
-
+(** A candidate is a usable Adj-RIB-In entry: a path as received from
+    a peer (its head is that peer).  The decision process passes the
+    peer and the path as separate arguments, so scanning the RIB builds
+    no candidate value. *)
 type t = {
   name : string;
-  prefer : self:int -> candidate -> candidate -> int;
-      (** Negative when the first candidate is preferred.  Must be a
-          total order on candidates with distinct paths. *)
-  import_ok : self:int -> candidate -> bool;
-      (** Additional import filtering.  Loop rejection (own AS in the
-          path) is enforced by the speaker itself, not here. *)
+  prefer : self:int -> int -> As_path.t -> int -> As_path.t -> int;
+      (** [prefer ~self p a q b] is negative when path [a] from peer [p]
+          is preferred over path [b] from peer [q].  Must be a total
+          order on candidates with distinct paths. *)
+  import_ok : self:int -> int -> As_path.t -> bool;
+      (** [import_ok ~self peer path]: additional import filtering of
+          [path] from [peer].  Loop rejection (own AS in the path) is
+          enforced by the speaker itself, not here. *)
   export_ok : self:int -> to_peer:int -> learned_from:int option -> bool;
       (** Whether the best route, learned from [learned_from] ([None]
           for a locally originated route), may be announced to

@@ -8,6 +8,10 @@ type dest_state = {
   pid : int;  (* dense id in the speaker's prefix table *)
   mutable local : bool;
   mutable best : best_route option;
+  mutable exported : As_path.t;
+      (* the best path with this AS prepended, extended the first time
+         an announcement needs it; [As_path.absent] until then and
+         again whenever [best] changes *)
   mutable rib_in : As_path.t array;  (* by slot: latest path from the peer *)
   mutable advertised : As_path.t array;
       (* by slot: what the peer currently holds from us *)
@@ -65,6 +69,7 @@ let dest_state t prefix =
           pid;
           local = false;
           best = None;
+          exported = As_path.absent;
           rib_in = Array.make slots As_path.absent;
           advertised = Array.make slots As_path.absent;
           damp = Hashtbl.create 8;
@@ -199,30 +204,41 @@ let peer_suppressed t st peer =
 (* The Adj-RIB-In is read per live peer, ascending by id.  Decisions
    cannot change from the ordering: each rib-in path starts with the
    announcing peer's AS, so the policy preference is a strict total
-   order over candidates from distinct peers. *)
+   order over candidates from distinct peers.  When the winner is the
+   current best route, that route itself is returned, so a decision
+   that changes nothing allocates nothing. *)
 let best_candidate t st =
-  if st.local then Some { learned_from = None; path = As_path.empty }
+  if st.local then
+    match st.best with
+    | Some { learned_from = None; _ } as cur -> cur
+    | Some _ | None -> Some { learned_from = None; path = As_path.empty }
   else begin
-    let best = ref None in
-    Peer_table.iter_slots
-      (fun slot peer ->
-        let path = st.rib_in.(slot) in
-        if path != As_path.absent then
-          let cand = { Policy.peer; path } in
-          if
-            t.config.policy.Policy.import_ok ~self:t.node cand
-            && not (peer_suppressed t st peer)
-          then
-            match !best with
-            | None -> best := Some cand
-            | Some cur ->
-                if t.config.policy.Policy.prefer ~self:t.node cand cur < 0
-                then best := Some cand)
-      t.live_peers;
-    Option.map
-      (fun (c : Policy.candidate) ->
-        { learned_from = Some c.peer; path = c.path })
-      !best
+    let policy = t.config.policy and self = t.node and peers = t.live_peers in
+    let best_peer = ref (-1) and best_path = ref As_path.absent in
+    for i = 0 to Peer_table.cardinal peers - 1 do
+      let slot = Peer_table.slot_at peers i in
+      let path = st.rib_in.(slot) in
+      if path != As_path.absent then begin
+        let peer = Peer_table.peer_of_slot peers slot in
+        if
+          policy.Policy.import_ok ~self peer path
+          && (not (peer_suppressed t st peer))
+          && (!best_path == As_path.absent
+             || policy.Policy.prefer ~self peer path !best_peer !best_path < 0)
+        then begin
+          best_peer := peer;
+          best_path := path
+        end
+      end
+    done;
+    if !best_path == As_path.absent then None
+    else
+      match st.best with
+      | Some { learned_from = Some peer; path } as cur
+        when peer = !best_peer && As_path.equal path !best_path ->
+          cur
+      | Some _ | None ->
+          Some { learned_from = Some !best_peer; path = !best_path }
   end
 
 let next_hop_of = function
@@ -239,46 +255,53 @@ let equal_best a b =
 (* What [peer] should hold from us: our best path with ourselves
    prepended, unless policy filters it or SSLD knows the peer would
    discard it (its own AS is on the path) — in which case the peer
-   should hold nothing, conveyed by an immediate withdrawal. *)
+   should hold nothing ([As_path.absent]), conveyed by an immediate
+   withdrawal.  The prepended path is the same for every peer, so it is
+   extended once per best route: the first extension interns it, as
+   the first of the per-peer extensions did. *)
 let desired_announcement t st peer =
   match st.best with
-  | None -> None
+  | None -> As_path.absent
   | Some b ->
       if
         not
           (t.config.policy.Policy.export_ok ~self:t.node ~to_peer:peer
              ~learned_from:b.learned_from)
-      then None
-      else
-        let full = As_path.extend ~table:t.paths t.node b.path in
-        if t.config.ssld && As_path.contains full peer then None
-        else Some full
+      then As_path.absent
+      else begin
+        if st.exported == As_path.absent then
+          st.exported <- As_path.extend ~table:t.paths t.node b.path;
+        let full = st.exported in
+        if t.config.ssld && As_path.contains full peer then As_path.absent
+        else full
+      end
 
 let sync_peer t st slot peer =
   let mrai = t.outs.(slot) in
   let prefix = st.prefix in
   let key = st.pid in
-  match desired_announcement t st peer with
-  | Some full ->
-      (* Ghost Flushing: if the announcement is stuck behind this
-         prefix's MRAI interval and the path got longer than what the
-         peer holds, flush the stale (ghost) route with an immediate
-         withdrawal; the announcement itself still goes out on expiry. *)
-      let prev = st.advertised.(slot) in
-      let worse_than_advertised =
-        prev != As_path.absent && As_path.length full > As_path.length prev
-      in
-      if
-        t.config.ghost_flushing
-        && Mrai.key_running mrai key
-        && worse_than_advertised
-      then
-        Mrai.send_now ~key mrai ~keep_pending:true (Msg.Withdraw { prefix });
-      Mrai.offer ~key mrai (Msg.Announce { prefix; path = full })
-  | None ->
-      let withdrawal = Msg.Withdraw { prefix } in
-      if t.config.wrate then Mrai.offer ~key mrai withdrawal
-      else Mrai.send_now ~key mrai ~keep_pending:false withdrawal
+  let full = desired_announcement t st peer in
+  if full != As_path.absent then begin
+    (* Ghost Flushing: if the announcement is stuck behind this
+       prefix's MRAI interval and the path got longer than what the
+       peer holds, flush the stale (ghost) route with an immediate
+       withdrawal; the announcement itself still goes out on expiry. *)
+    let prev = st.advertised.(slot) in
+    let worse_than_advertised =
+      prev != As_path.absent && As_path.length full > As_path.length prev
+    in
+    if
+      t.config.ghost_flushing
+      && Mrai.key_running mrai key
+      && worse_than_advertised
+    then
+      Mrai.send_now ~key mrai ~keep_pending:true (Msg.Withdraw { prefix });
+    Mrai.offer ~key mrai (Msg.Announce { prefix; path = full })
+  end
+  else
+    let withdrawal = Msg.Withdraw { prefix } in
+    if t.config.wrate then Mrai.offer ~key mrai withdrawal
+    else Mrai.send_now ~key mrai ~keep_pending:false withdrawal
 
 (* Runtime invariants of the decision process, re-verified after every
    mutation when a checker is armed: the Loc-RIB best is always drawn
@@ -315,6 +338,7 @@ let recompute t st =
   (if not (equal_best st.best new_best) then begin
     let old_nh = next_hop_of st.best and new_nh = next_hop_of new_best in
     st.best <- new_best;
+    st.exported <- As_path.absent;
     t.route_changes <- t.route_changes + 1;
     if old_nh <> new_nh then
       t.on_next_hop_change ~prefix:st.prefix ~next_hop:new_nh;
@@ -590,6 +614,7 @@ let remap_paths t ~f =
   remap (fun st -> st.rib_in);
   remap (fun st -> st.advertised);
   iter_dests t (fun st ->
+      st.exported <- As_path.absent;
       match st.best with
       | Some b -> st.best <- Some { b with path = f b.path }
       | None -> ())

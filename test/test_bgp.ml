@@ -168,15 +168,18 @@ let test_msg_kinds () =
 
 (* --- Policy --- *)
 
-let cand peer l = { Bgp.Policy.peer; path = path l }
+(* A candidate as the decision process passes it: a peer and its path. *)
+let cand peer l = (peer, path l)
+
+let prefer (p : Bgp.Policy.t) ~self (q, a) (r, b) = p.prefer ~self q a r b
 
 let test_shortest_path_policy () =
   let p = Bgp.Policy.shortest_path in
   Alcotest.(check bool) "shorter preferred" true
-    (p.prefer ~self:9 (cand 1 [ 1; 0 ]) (cand 2 [ 2; 3; 0 ]) < 0);
+    (prefer p ~self:9 (cand 1 [ 1; 0 ]) (cand 2 [ 2; 3; 0 ]) < 0);
   Alcotest.(check bool) "tie by id" true
-    (p.prefer ~self:9 (cand 1 [ 1; 0 ]) (cand 2 [ 2; 0 ]) < 0);
-  Alcotest.(check bool) "imports all" true (p.import_ok ~self:9 (cand 1 [ 1; 0 ]));
+    (prefer p ~self:9 (cand 1 [ 1; 0 ]) (cand 2 [ 2; 0 ]) < 0);
+  Alcotest.(check bool) "imports all" true (p.import_ok ~self:9 1 (path [ 1; 0 ]));
   Alcotest.(check bool) "exports all" true
     (p.export_ok ~self:9 ~to_peer:1 ~learned_from:(Some 2))
 
@@ -192,12 +195,12 @@ let test_gao_rexford_preference () =
   let p = Bgp.Policy.gao_rexford ~rel in
   (* a longer customer route beats a shorter provider route *)
   Alcotest.(check bool) "customer over provider" true
-    (p.prefer ~self:0 (cand 1 [ 1; 5; 9 ]) (cand 3 [ 3; 9 ]) < 0);
+    (prefer p ~self:0 (cand 1 [ 1; 5; 9 ]) (cand 3 [ 3; 9 ]) < 0);
   Alcotest.(check bool) "customer over peer" true
-    (p.prefer ~self:0 (cand 1 [ 1; 5; 9 ]) (cand 2 [ 2; 9 ]) < 0);
+    (prefer p ~self:0 (cand 1 [ 1; 5; 9 ]) (cand 2 [ 2; 9 ]) < 0);
   (* same class: path length decides *)
   Alcotest.(check bool) "same class by length" true
-    (p.prefer ~self:0 (cand 3 [ 3; 9 ]) (cand 3 [ 3; 5; 9 ]) < 0)
+    (prefer p ~self:0 (cand 3 [ 3; 9 ]) (cand 3 [ 3; 5; 9 ]) < 0)
 
 let test_gao_rexford_valley_free_export () =
   let rel self other =

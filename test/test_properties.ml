@@ -146,8 +146,7 @@ let prop_best_is_policy_minimal =
               && List.for_all
                    (fun (peer, p) ->
                      Bgp.Policy.shortest_path.prefer ~self:self_id
-                       { Bgp.Policy.peer = learned_from; path = best_path }
-                       { Bgp.Policy.peer; path = p }
+                       learned_from best_path peer p
                      <= 0)
                    rib
           | Some (None, _) -> false (* this speaker originates nothing *)))
