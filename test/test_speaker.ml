@@ -561,6 +561,26 @@ let test_session_down_clears_all_prefixes () =
   Alcotest.(check bool) "prefix9 lost" true
     (Bgp.Speaker.next_hop h.speaker prefix9 = None)
 
+(* The prepended best path is extended once per best route and kept;
+   [remap_paths] must drop it, so an announcement after a remap into a
+   fresh arena carries a path of that arena, not the old handle. *)
+let test_remap_drops_the_exported_path () =
+  let h = make ~node:5 ~peers:[ 4; 6 ] () in
+  announce h ~from:4 [ 4; 0 ];
+  ignore (drain h.outbox);
+  let fresh = Bgp.As_path.Table.create () in
+  Bgp.Speaker.remap_paths h.speaker ~f:(Bgp.As_path.reintern ~table:fresh);
+  Bgp.Speaker.set_path_table h.speaker fresh;
+  (* a session bounce re-dumps the unchanged best route to peer 6 *)
+  Bgp.Speaker.session_down h.speaker ~peer:6;
+  Bgp.Speaker.session_up h.speaker ~peer:6;
+  match drain h.outbox with
+  | [ (6, Bgp.Msg.Announce { path = p; _ }) ] ->
+      Alcotest.(check (list int)) "same path" [ 5; 4; 0 ] (Bgp.As_path.to_list p);
+      Alcotest.(check bool) "interned in the fresh arena" true
+        (Bgp.As_path.reintern ~table:fresh p == p)
+  | msgs -> Alcotest.failf "expected one announcement, got %d" (List.length msgs)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "speaker"
@@ -630,6 +650,7 @@ let () =
           tc "session up dumps the table" test_session_up_dumps_table;
           tc "session up idempotent" test_session_up_idempotent;
           tc "session bounce recovers" test_session_bounce;
+          tc "remap drops the exported path" test_remap_drops_the_exported_path;
         ] );
       ( "origin",
         [
