@@ -1,289 +1,21 @@
-(* Reproduction harness for every figure in the paper's evaluation
-   (Figures 4-9; the paper has no tables), plus ablations of the model
-   choices called out in DESIGN.md §6 and the extension studies
-   (topology provenance, damping, churn interference, counters).
-   Performance is measured by perfbench/, not here.
+(* The extension harness: ablations of the model choices called out in
+   DESIGN.md §6 and the extension studies (topology provenance,
+   damping, churn interference, counters).  The paper's Figures 4-9
+   are `bgpsim figures`; performance is measured by perfbench/.
 
-     dune exec bench/main.exe                    # every group
-     dune exec bench/main.exe -- fig4            # one figure group
-     dune exec bench/main.exe -- --jobs 4 fig4   # sweeps on 4 worker domains
+     dune exec bench/main.exe                         # every group
+     dune exec bench/main.exe -- damping              # one group
+     dune exec bench/main.exe -- --jobs 4 counters    # runs on 4 worker domains
 
-   Figure groups share their underlying simulation sweeps: Figures 4
-   and 6 are two views (durations vs exhaustions) of the same runs, as
-   are Figures 5 and 7.  The figure groups run their (spec, seed)
-   batches through a shared Sweep/Parallel domain pool; results are
-   identical to a sequential run by construction (see DESIGN.md
-   §"Performance"), only faster on multicore hosts. *)
+   The counters group runs its (fixture, seed) batch through a
+   Parallel domain pool; results are identical to a sequential run by
+   construction (see DESIGN.md §"Performance"). *)
 
 open Bgpsim
 
 let seeds_default = [ 1; 2; 3 ]
 
-let seeds_internet_tlong = [ 1; 2; 3; 4; 5; 6 ]
-
-let clique_sizes = [ 5; 10; 15; 20; 25; 30 ]
-
-let b_clique_sizes = [ 5; 10; 15 ]
-
-let internet_sizes = [ 29; 48; 75; 110 ]
-
-let mrai_values = [ 10.; 20.; 30.; 40.; 50.; 60. ]
-
 let say fmt = Format.printf (fmt ^^ "@.")
-
-let spec_clique n = Experiment.default_spec (Experiment.Clique n)
-
-let spec_b_clique_tlong n =
-  {
-    (Experiment.default_spec (Experiment.B_clique n)) with
-    event = Experiment.Tlong;
-  }
-
-let spec_internet n = Experiment.default_spec (Experiment.Internet n)
-
-let spec_internet_tlong n =
-  { (spec_internet n) with event = Experiment.Tlong }
-
-let fit_line ~label series ~y =
-  match series with
-  | _ :: _ :: _ ->
-      let fit = Sweep.linearity series ~x:(fun x -> x) ~y in
-      say "  fit: %s %a" label Stats.Linear_fit.pp fit
-  | _ -> ()
-
-(* --- Figures 4 and 6: metric vs network size --- *)
-
-let duration_rows series =
-  List.map
-    (fun (x, (m : Metrics.Run_metrics.t)) ->
-      [
-        string_of_int (int_of_float x);
-        Report.float_cell m.convergence_time;
-        Report.float_cell m.overall_looping_duration;
-      ])
-    series
-
-let exhaustion_rows series =
-  List.map
-    (fun (x, (m : Metrics.Run_metrics.t)) ->
-      [
-        string_of_int (int_of_float x);
-        string_of_int m.ttl_exhaustions;
-        Report.ratio_cell m.looping_ratio;
-      ])
-    series
-
-let size_series ~pool ~make ~seeds sizes =
-  Sweep.series ~pool ~make:(fun x -> make (int_of_float x)) ~seeds
-    (List.map float_of_int sizes)
-
-let fig4_6 ~pool =
-  say "=== Figures 4 & 6: looping vs network size ===@.";
-  let clique =
-    size_series ~pool ~make:spec_clique ~seeds:seeds_default clique_sizes
-  in
-  print_string
-    (Report.table ~title:"Fig 4(a): T_down on Clique"
-       ~header:[ "size"; "conv(s)"; "loop-dur(s)" ]
-       ~rows:(duration_rows clique));
-  say "";
-  let b_clique =
-    size_series ~pool ~make:spec_b_clique_tlong ~seeds:seeds_default
-      b_clique_sizes
-  in
-  print_string
-    (Report.table ~title:"Fig 4(b): T_long on B-Clique (2n nodes)"
-       ~header:[ "n"; "conv(s)"; "loop-dur(s)" ]
-       ~rows:(duration_rows b_clique));
-  say "";
-  let internet =
-    size_series ~pool ~make:spec_internet ~seeds:seeds_default internet_sizes
-  in
-  print_string
-    (Report.table ~title:"Fig 4(c): T_down on Internet-derived"
-       ~header:[ "size"; "conv(s)"; "loop-dur(s)" ]
-       ~rows:(duration_rows internet));
-  say "";
-  say
-    "Observation 1 check: in T_down the looping duration should sit a few@,\
-     seconds under the convergence time; in T_long the gap is ~1 MRAI.";
-  say "";
-  print_string
-    (Report.table ~title:"Fig 6(a): TTL exhaustions & ratio, T_down Clique"
-       ~header:[ "size"; "ttl-exh"; "ratio" ]
-       ~rows:(exhaustion_rows clique));
-  say "";
-  print_string
-    (Report.table ~title:"Fig 6(b): TTL exhaustions & ratio, T_long B-Clique"
-       ~header:[ "n"; "ttl-exh"; "ratio" ]
-       ~rows:(exhaustion_rows b_clique));
-  say "";
-  print_string
-    (Report.table
-       ~title:"Fig 6(c): TTL exhaustions & ratio, T_down Internet-derived"
-       ~header:[ "size"; "ttl-exh"; "ratio" ]
-       ~rows:(exhaustion_rows internet));
-  say "";
-  say
-    "Observation 2 check: ratio >65%% for T_down cliques of size >=15, >35%%@,\
-     for T_long b-cliques of size >=15.";
-  say ""
-
-(* --- Figures 5 and 7: metric vs MRAI --- *)
-
-let fig5_7 ~pool =
-  say "=== Figures 5 & 7: looping vs MRAI value ===@.";
-  let clique_mrai =
-    Sweep.series ~pool
-      ~make:(fun mrai -> { (spec_clique 15) with mrai })
-      ~seeds:seeds_default mrai_values
-  in
-  let b_clique_mrai =
-    Sweep.series ~pool
-      ~make:(fun mrai -> { (spec_b_clique_tlong 10) with mrai })
-      ~seeds:seeds_default mrai_values
-  in
-  let duration_rows series =
-    List.map
-      (fun (mrai, (m : Metrics.Run_metrics.t)) ->
-        [
-          Printf.sprintf "%g" mrai;
-          Report.float_cell m.convergence_time;
-          Report.float_cell m.overall_looping_duration;
-        ])
-      series
-  in
-  let exhaustion_rows series =
-    List.map
-      (fun (mrai, (m : Metrics.Run_metrics.t)) ->
-        [
-          Printf.sprintf "%g" mrai;
-          string_of_int m.ttl_exhaustions;
-          Report.ratio_cell m.looping_ratio;
-        ])
-      series
-  in
-  print_string
-    (Report.table ~title:"Fig 5(a): T_down on Clique-15 vs MRAI"
-       ~header:[ "mrai"; "conv(s)"; "loop-dur(s)" ]
-       ~rows:(duration_rows clique_mrai));
-  fit_line ~label:"convergence ~" clique_mrai
-    ~y:(fun (m : Metrics.Run_metrics.t) -> m.convergence_time);
-  fit_line ~label:"looping dur ~" clique_mrai
-    ~y:(fun (m : Metrics.Run_metrics.t) -> m.overall_looping_duration);
-  say "";
-  print_string
-    (Report.table ~title:"Fig 5(b): T_long on B-Clique-10 vs MRAI"
-       ~header:[ "mrai"; "conv(s)"; "loop-dur(s)" ]
-       ~rows:(duration_rows b_clique_mrai));
-  fit_line ~label:"convergence ~" b_clique_mrai
-    ~y:(fun (m : Metrics.Run_metrics.t) -> m.convergence_time);
-  say "";
-  print_string
-    (Report.table ~title:"Fig 7(a): TTL exhaustions & ratio vs MRAI (Clique-15)"
-       ~header:[ "mrai"; "ttl-exh"; "ratio" ]
-       ~rows:(exhaustion_rows clique_mrai));
-  fit_line ~label:"exhaustions ~" clique_mrai
-    ~y:(fun (m : Metrics.Run_metrics.t) -> float_of_int m.ttl_exhaustions);
-  say "";
-  print_string
-    (Report.table
-       ~title:"Fig 7(b): TTL exhaustions & ratio vs MRAI (B-Clique-10)"
-       ~header:[ "mrai"; "ttl-exh"; "ratio" ]
-       ~rows:(exhaustion_rows b_clique_mrai));
-  say "";
-  say
-    "Observation 1/2 checks: convergence, looping duration and exhaustion@,\
-     counts all linear in the MRAI (R^2 near 1); the looping ratio column@,\
-     stays flat.";
-  say ""
-
-(* --- Figures 8 and 9: enhancement comparisons --- *)
-
-let enhancement_tables ~pool ~tag ~exh_title ~conv_title ~seeds ~make sizes =
-  (* one series per enhancement over all sizes, so the pool sees the
-     whole (enhancement x size x seed) space of each series at once *)
-  let per_enh =
-    List.map
-      (fun enh ->
-        ( enh,
-          Sweep.series ~pool
-            ~make:(fun x ->
-              { (make (int_of_float x)) with enhancement = enh })
-            ~seeds
-            (List.map float_of_int sizes) ))
-      Bgp.Enhancement.all
-  in
-  let per_size =
-    List.mapi
-      (fun i n ->
-        (n, List.map (fun (enh, series) -> (enh, snd (List.nth series i))) per_enh))
-      sizes
-  in
-  let header =
-    tag :: List.map Bgp.Enhancement.name Bgp.Enhancement.all
-  in
-  let exh_rows =
-    List.map
-      (fun (n, ms) ->
-        let std =
-          match List.assoc Bgp.Enhancement.Standard ms with
-          | (m : Metrics.Run_metrics.t) -> Stdlib.max m.ttl_exhaustions 1
-        in
-        string_of_int n
-        :: List.map
-             (fun (_, (m : Metrics.Run_metrics.t)) ->
-               Printf.sprintf "%.3f"
-                 (float_of_int m.ttl_exhaustions /. float_of_int std))
-             ms)
-      per_size
-  in
-  let conv_rows =
-    List.map
-      (fun (n, ms) ->
-        string_of_int n
-        :: List.map
-             (fun (_, (m : Metrics.Run_metrics.t)) ->
-               Report.float_cell m.convergence_time)
-             ms)
-      per_size
-  in
-  print_string
-    (Report.table ~title:exh_title ~header ~rows:exh_rows);
-  say "";
-  print_string (Report.table ~title:conv_title ~header ~rows:conv_rows);
-  say ""
-
-let fig8 ~pool =
-  say "=== Figure 8: T_down convergence enhancements ===@.";
-  enhancement_tables ~pool ~tag:"size"
-    ~exh_title:
-      "Fig 8(a): TTL exhaustions normalized by standard BGP (Clique, T_down)"
-    ~conv_title:"Fig 8(b): convergence time in seconds (Clique, T_down)"
-    ~seeds:seeds_default ~make:spec_clique clique_sizes;
-  enhancement_tables ~pool ~tag:"size"
-    ~exh_title:
-      "Fig 8(c): TTL exhaustions normalized by standard BGP (Internet, T_down)"
-    ~conv_title:"Fig 8(d): convergence time in seconds (Internet, T_down)"
-    ~seeds:seeds_default ~make:spec_internet internet_sizes;
-  say
-    "Observation 3 checks: Assertion ~0 on cliques but weaker on Internet@,\
-     topologies; Ghost Flushing <=0.2 normalized everywhere; SSLD a mild@,\
-     <1 factor; WRATE near or above 1.";
-  say ""
-
-let fig9 ~pool =
-  say "=== Figure 9: T_long convergence enhancements ===@.";
-  enhancement_tables ~pool ~tag:"n"
-    ~exh_title:
-      "Fig 9(a): TTL exhaustions normalized by standard BGP (B-Clique, T_long)"
-    ~conv_title:"Fig 9(b): convergence time in seconds (B-Clique, T_long)"
-    ~seeds:seeds_default ~make:spec_b_clique_tlong b_clique_sizes;
-  enhancement_tables ~pool ~tag:"size"
-    ~exh_title:
-      "Fig 9(c): TTL exhaustions normalized by standard BGP (Internet, T_long)"
-    ~conv_title:"Fig 9(d): convergence time in seconds (Internet, T_long)"
-    ~seeds:seeds_internet_tlong ~make:spec_internet_tlong internet_sizes
 
 (* --- ablations (DESIGN.md §6) --- *)
 
@@ -332,7 +64,7 @@ let ablations () =
         in
         let m =
           Sweep.over_seeds
-            { (spec_clique 10) with params; mrai = 30. }
+            { (Experiment.default_spec (Clique 10)) with params; mrai = 30. }
             ~seeds:seeds_default
         in
         [
@@ -732,10 +464,6 @@ let counters_group ~pool =
 
 let groups =
   [
-    ("fig4", fig4_6);
-    ("fig5", fig5_7);
-    ("fig8", fig8);
-    ("fig9", fig9);
     ("ablations", fun ~pool:_ -> ablations ());
     ("provenance", fun ~pool:_ -> provenance ());
     ("damping", fun ~pool:_ -> damping ());
@@ -760,16 +488,10 @@ let () =
   in
   let requested, jobs = parse [] None args in
   let requested =
-    if requested = [] then List.map fst groups else requested
+    List.concat_map
+      (function "all" -> List.map fst groups | name -> [ name ])
+      (if requested = [] then [ "all" ] else requested)
   in
-  let aliases = [ ("fig6", "fig4"); ("fig7", "fig5"); ("all", "") ] in
-  let wanted name =
-    match List.assoc_opt name aliases with
-    | Some "" -> List.map fst groups
-    | Some canonical -> [ canonical ]
-    | None -> [ name ]
-  in
-  let requested = List.concat_map wanted requested in
   let pool = Parallel.create ?jobs () in
   say "sweep pool: %d worker(s) (host recommends %d domains)@."
     (Parallel.jobs pool)
@@ -782,7 +504,7 @@ let () =
           run ~pool;
           say "[%s] %.2f s wall@." name (Unix.gettimeofday () -. t0)
       | None ->
-          Format.eprintf "unknown bench group %S (known: %s, fig6, fig7, all)@."
+          Format.eprintf "unknown bench group %S (known: %s, all)@."
             name
             (String.concat ", " (List.map fst groups)))
     requested;

@@ -8,13 +8,17 @@
      churn    sustained-churn service mode with checkpoint/resume
      topo     generate a topology (edge list or graphviz)
      trace    export one run's traces as CSV, or decode a binary trace
-     figures  regenerate every paper figure's data series as CSV
+     figures  regenerate the paper's Figures 4-9: tables, and CSV with -o
      golden   print or check the golden-trace digests
+
+   Usage mistakes exit 124 (cmdliner); an output path that cannot be
+   created or opened exits 2; churn adds 3-7 (see EXPERIMENTS.md).
 
    Examples:
      bgpsim run --topology clique:15 --event tdown --mrai 30
      bgpsim run --topology internet:110 --event tlong --enhancement wrate --seeds 5
      bgpsim sweep --topology clique --axis size --values 5,10,15,20
+     bgpsim figures fig8 --jobs 2 -o figs
      bgpsim topo --topology internet:48 --format dot *)
 
 open Cmdliner
@@ -233,6 +237,15 @@ let spec_of ?scenario ?(invariants = Faults.Invariant.Off)
   }
 
 let seed_list ~seed ~seeds = List.init (Stdlib.max 1 seeds) (fun i -> seed + i)
+
+(* [f] creates or opens output paths.  One that cannot be created or
+   opened ends the command with one line and exit status 2: the
+   Sys_error of a failed open or mkdir reads "PATH: REASON". *)
+let writing f =
+  try f ()
+  with Sys_error msg ->
+    Printf.eprintf "bgpsim: cannot write %s\n" msg;
+    exit 2
 
 (* --- run --- *)
 
@@ -519,9 +532,16 @@ let analyze_cmd =
           ~doc:"Also write the full report(s) as a JSON array to $(docv).")
   in
   let fixture_arg =
+    let fixture =
+      Arg.conv
+        ( (fun s ->
+            Result.map_error (fun msg -> `Msg msg) (Analysis.Fixtures.find s)),
+          fun fmt (i : Analysis.Fixtures.instance) ->
+            Format.pp_print_string fmt i.label )
+    in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some fixture) None
       & info [ "fixture" ] ~docv:"NAME"
           ~doc:
             "Analyze a canonical SPVP fixture instead of a topology: \
@@ -540,16 +560,13 @@ let analyze_cmd =
       golden =
     let reports = ref [] in
     let add label report = reports := (label, report) :: !reports in
-    (match fixture with
-    | None -> ()
-    | Some name -> (
-        match Analysis.Fixtures.find name with
-        | Error msg -> raise (Invalid_argument msg)
-        | Ok (i : Analysis.Fixtures.instance) ->
-            add i.label
-              (Analysis.Preflight.analyze ~max_paths ~graph:i.graph
-                 ~policy:i.policy ~origin:i.origin ~mrai
-                 ~params:Netcore.Params.default ())));
+    Option.iter
+      (fun (i : Analysis.Fixtures.instance) ->
+        add i.label
+          (Analysis.Preflight.analyze ~max_paths ~graph:i.graph
+             ~policy:i.policy ~origin:i.origin ~mrai
+             ~params:Netcore.Params.default ()))
+      fixture;
     if golden then
       List.iter
         (fun (f : Bgpsim.Golden.fixture) ->
@@ -576,43 +593,48 @@ let analyze_cmd =
         add label report);
     let reports = List.rev !reports in
     if reports = [] then
-      raise (Invalid_argument "nothing to analyze: give --topology, --fixture or --golden");
-    List.iter
-      (fun (label, report) ->
-        Format.printf "== %s ==@.%a@.@." label Analysis.Preflight.pp report)
-      reports;
-    (match json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc
-          (Json.to_string
-             (Json.List
-                (List.map
-                   (fun (label, r) ->
-                     Json.Obj
-                       [
-                         ("name", Json.Str label);
-                         ("report", Analysis.Preflight.to_json r);
-                       ])
-                   reports)));
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s\n" path);
-    let doomed =
-      List.filter (fun (_, r) -> Analysis.Preflight.blocking r <> []) reports
-    in
-    if doomed <> [] then begin
-      Format.printf "inadmissible: %s@."
-        (String.concat ", " (List.map fst doomed));
-      exit 1
+      `Error
+        (true, "nothing to analyze: give --topology, --fixture or --golden")
+    else begin
+      List.iter
+        (fun (label, report) ->
+          Format.printf "== %s ==@.%a@.@." label Analysis.Preflight.pp report)
+        reports;
+      (match json with
+      | None -> ()
+      | Some path ->
+          let oc = writing (fun () -> open_out path) in
+          output_string oc
+            (Json.to_string
+               (Json.List
+                  (List.map
+                     (fun (label, r) ->
+                       Json.Obj
+                         [
+                           ("name", Json.Str label);
+                           ("report", Analysis.Preflight.to_json r);
+                         ])
+                     reports)));
+          output_char oc '\n';
+          close_out oc;
+          Printf.printf "wrote %s\n" path);
+      let doomed =
+        List.filter (fun (_, r) -> Analysis.Preflight.blocking r <> []) reports
+      in
+      if doomed <> [] then begin
+        Format.printf "inadmissible: %s@."
+          (String.concat ", " (List.map fst doomed));
+        exit 1
+      end;
+      `Ok ()
     end
   in
   let term =
     Term.(
-      const action $ topology_opt_arg $ event_arg $ scenario_arg $ policy_arg
-      $ mrai_arg $ seed_arg $ max_paths_arg $ json_arg $ fixture_arg
-      $ golden_flag)
+      ret
+        (const action $ topology_opt_arg $ event_arg $ scenario_arg
+       $ policy_arg $ mrai_arg $ seed_arg $ max_paths_arg $ json_arg
+       $ fixture_arg $ golden_flag))
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -629,7 +651,7 @@ let golden_cmd =
   let check_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some non_dir_file) None
       & info [ "check" ] ~docv:"FILE"
           ~doc:
             "Instead of printing, compare the recomputed digests against the \
@@ -639,11 +661,10 @@ let golden_cmd =
     match check with
     | None -> List.iter print_endline (Bgpsim.Golden.digest_lines ())
     | Some path ->
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let text = really_input_string ic len in
-        close_in ic;
-        let expected = Bgpsim.Golden.parse_expected text in
+        let expected =
+          Bgpsim.Golden.parse_expected
+            (In_channel.with_open_bin path In_channel.input_all)
+        in
         let bad = ref 0 in
         let check name got =
           match List.assoc_opt name expected with
@@ -657,13 +678,9 @@ let golden_cmd =
               Printf.printf "FAIL %s missing from %s (got %s)\n" name path got
         in
         List.iter
-          (fun (f : Bgpsim.Golden.fixture) ->
-            check f.name (Bgpsim.Golden.digest f))
-          Bgpsim.Golden.fixtures;
-        List.iter
-          (fun (m : Bgpsim.Golden.mesh_fixture) ->
-            check m.mesh_name (Bgpsim.Golden.mesh_digest m))
-          Bgpsim.Golden.mesh_fixtures;
+          (fun (name, events) ->
+            check name (Obs.Trace_digest.of_events (events ())))
+          Bgpsim.Golden.traces;
         if !bad > 0 then exit 1
   in
   let term = Term.(const action $ check_arg) in
@@ -918,7 +935,8 @@ let churn_cmd =
     let bgp = Bgp.Config.of_enhancement ~mrai enhancement in
     let workload = Churn.Workload.make ~epoch_len ~flap_rate () in
     (match checkpoint_dir with
-    | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
+    | Some dir when not (Sys.file_exists dir) ->
+        writing (fun () -> Sys.mkdir dir 0o755)
     | Some _ | None -> ());
     let resume_from =
       if not resume then None
@@ -964,7 +982,11 @@ let churn_cmd =
           | Some p -> "  ckpt " ^ Filename.basename p
           | None -> "")
     in
-    let sink = Option.map (fun p -> trace_sink p trace_format) trace_file in
+    let sink =
+      Option.map
+        (fun p -> writing (fun () -> trace_sink p trace_format))
+        trace_file
+    in
     let r =
       try Churn.Driver.run ~watchdog ~on_epoch ?resume_from ?sink cfg
       with
@@ -1049,13 +1071,12 @@ let trace_cmd =
   in
   let action topology event enhancement mrai seed dir =
     let spec = spec_of topology event enhancement mrai seed in
+    writing (fun () -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
     let run = Bgpsim.Experiment.run spec in
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let write name text =
       let path = Filename.concat dir name in
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc;
+      writing (fun () ->
+          Out_channel.with_open_text path (fun oc -> output_string oc text));
       Printf.printf "wrote %s\n" path
     in
     let fib = Netcore.Trace.fib run.outcome.trace in
@@ -1079,7 +1100,7 @@ let trace_cmd =
     let input_arg =
       Arg.(
         required
-        & pos 0 (some file) None
+        & pos 0 (some non_dir_file) None
         & info [] ~docv:"TRACE" ~doc:"Binary trace file to decode.")
     in
     let output_arg =
@@ -1102,7 +1123,7 @@ let trace_cmd =
         match output with
         | None -> (stdout, fun () -> flush stdout)
         | Some path ->
-            let oc = open_out path in
+            let oc = writing (fun () -> open_out path) in
             (oc, fun () -> close_out oc)
       in
       let count = ref 0 in
@@ -1144,125 +1165,36 @@ let trace_cmd =
 (* --- figures --- *)
 
 let figures_cmd =
+  let names_arg =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) Bgpsim.Figures.names)) []
+      & info [] ~docv:"FIGURE"
+          ~doc:
+            "Figure group to run: fig4, fig5, fig8 or fig9; fig6 and fig7 \
+             name the runs they share with fig4 and fig5.  Default: every \
+             group.")
+  in
   let dir_arg =
     Arg.(
-      required
+      value
       & opt (some string) None
       & info [ "o"; "output-dir" ] ~docv:"DIR"
-          ~doc:"Directory the per-figure CSV files are written into.")
+          ~doc:
+            "Also write each data series as a CSV file into $(docv) (created \
+             if absent).")
   in
-  let seeds_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "seeds" ] ~docv:"N" ~doc:"Seeds averaged per data point.")
+  let action names dir jobs =
+    writing (fun () ->
+        Bgpsim.Parallel.with_pool ~jobs (fun pool ->
+            Bgpsim.Figures.run ~pool ?dir names))
   in
-  let action dir seeds jobs =
-    let seeds = seed_list ~seed:1 ~seeds in
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let write name text =
-      let path = Filename.concat dir name in
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc;
-      Printf.printf "wrote %s\n%!" path
-    in
-    (* one pool shared by every figure's sweep *)
-    Bgpsim.Parallel.with_pool ~jobs @@ fun pool ->
-    let series ~x_label ~make xs name =
-      let data = Bgpsim.Sweep.series ~pool ~make ~seeds xs in
-      write name (Metrics.Export.series_csv ~x_label data)
-    in
-    let sizes = List.map float_of_int in
-    (* Figures 4 & 6 share runs; so do 5 & 7 — the CSVs carry all the
-       metric columns, so one file serves both views of each figure. *)
-    series ~x_label:"size"
-      ~make:(fun n ->
-        Bgpsim.Experiment.default_spec (Bgpsim.Experiment.Clique (int_of_float n)))
-      (sizes [ 5; 10; 15; 20; 25; 30 ])
-      "fig4a_fig6a_clique_tdown_vs_size.csv";
-    series ~x_label:"n"
-      ~make:(fun n ->
-        {
-          (Bgpsim.Experiment.default_spec
-             (Bgpsim.Experiment.B_clique (int_of_float n)))
-          with
-          event = Bgpsim.Experiment.Tlong;
-        })
-      (sizes [ 5; 10; 15 ])
-      "fig4b_fig6b_bclique_tlong_vs_size.csv";
-    series ~x_label:"size"
-      ~make:(fun n ->
-        Bgpsim.Experiment.default_spec (Bgpsim.Experiment.Internet (int_of_float n)))
-      (sizes [ 29; 48; 75; 110 ])
-      "fig4c_fig6c_internet_tdown_vs_size.csv";
-    series ~x_label:"mrai"
-      ~make:(fun mrai ->
-        { (Bgpsim.Experiment.default_spec (Bgpsim.Experiment.Clique 15)) with mrai })
-      [ 10.; 20.; 30.; 40.; 50.; 60. ]
-      "fig5a_fig7a_clique15_tdown_vs_mrai.csv";
-    series ~x_label:"mrai"
-      ~make:(fun mrai ->
-        {
-          (Bgpsim.Experiment.default_spec (Bgpsim.Experiment.B_clique 10)) with
-          event = Bgpsim.Experiment.Tlong;
-          mrai;
-        })
-      [ 10.; 20.; 30.; 40.; 50.; 60. ]
-      "fig5b_fig7b_bclique10_tlong_vs_mrai.csv";
-    (* Figures 8 & 9: one CSV per enhancement and scenario family *)
-    List.iter
-      (fun enh ->
-        let tag = Bgp.Enhancement.name enh in
-        series ~x_label:"size"
-          ~make:(fun n ->
-            {
-              (Bgpsim.Experiment.default_spec
-                 (Bgpsim.Experiment.Clique (int_of_float n)))
-              with
-              enhancement = enh;
-            })
-          (sizes [ 5; 10; 15; 20; 25; 30 ])
-          (Printf.sprintf "fig8ab_clique_tdown_%s.csv" tag);
-        series ~x_label:"size"
-          ~make:(fun n ->
-            {
-              (Bgpsim.Experiment.default_spec
-                 (Bgpsim.Experiment.Internet (int_of_float n)))
-              with
-              enhancement = enh;
-            })
-          (sizes [ 29; 48; 75; 110 ])
-          (Printf.sprintf "fig8cd_internet_tdown_%s.csv" tag);
-        series ~x_label:"n"
-          ~make:(fun n ->
-            {
-              (Bgpsim.Experiment.default_spec
-                 (Bgpsim.Experiment.B_clique (int_of_float n)))
-              with
-              event = Bgpsim.Experiment.Tlong;
-              enhancement = enh;
-            })
-          (sizes [ 5; 10; 15 ])
-          (Printf.sprintf "fig9ab_bclique_tlong_%s.csv" tag);
-        series ~x_label:"size"
-          ~make:(fun n ->
-            {
-              (Bgpsim.Experiment.default_spec
-                 (Bgpsim.Experiment.Internet (int_of_float n)))
-              with
-              event = Bgpsim.Experiment.Tlong;
-              enhancement = enh;
-            })
-          (sizes [ 29; 48; 75; 110 ])
-          (Printf.sprintf "fig9cd_internet_tlong_%s.csv" tag))
-      Bgp.Enhancement.all
-  in
-  let term = Term.(const action $ dir_arg $ seeds_arg $ jobs_arg) in
+  let term = Term.(const action $ names_arg $ dir_arg $ jobs_arg) in
   Cmd.v
     (Cmd.info "figures"
        ~doc:
-         "Regenerate every paper figure's data series as CSV files for \
-          offline plotting")
+         "Regenerate the paper's Figures 4-9: print their tables and, with \
+          -o, write every data series as CSV for offline plotting")
     term
 
 let () =

@@ -181,10 +181,9 @@ let create ?(params = Netcore.Params.default) ?(config = Config.default)
           ());
   t.speakers <-
     Array.init n (fun i ->
-        Speaker.create ~checker ~obs ~prefix_obs:(Option.is_some prefixes)
-          ~paths:t.paths ?prefixes ~engine ~config ~rng:speaker_rngs.(i)
-          ~node:i ~peers:(Topo.Graph.neighbors graph i) ~emit:(emit t i)
-          ~on_next_hop_change:(on_next_hop_change i) ());
+        Speaker.create ~checker ~obs ~paths:t.paths ?prefixes ~engine ~config
+          ~rng:speaker_rngs.(i) ~node:i ~peers:(Topo.Graph.neighbors graph i)
+          ~emit:(emit t i) ~on_next_hop_change:(on_next_hop_change i) ());
   t
 
 let originate_all t ~at =

@@ -1,8 +1,9 @@
 type best_route = { learned_from : int option; path : As_path.t }
 
-(* Per-destination state.  The Adj-RIB-In and Adj-RIB-Out are arrays
-   indexed by peer slot ([Peer_table]), [As_path.absent] where a peer
-   has no entry; a new slot grows both by one. *)
+(* Per-destination state.  The Adj-RIB-In, the Adj-RIB-Out and the
+   damping states are arrays indexed by peer slot ([Peer_table]), with
+   [As_path.absent] or [None] where a peer has no entry; a new slot
+   grows each by one. *)
 type dest_state = {
   prefix : Prefix.t;
   pid : int;  (* dense id in the speaker's prefix table *)
@@ -15,8 +16,8 @@ type dest_state = {
   mutable rib_in : As_path.t array;  (* by slot: latest path from the peer *)
   mutable advertised : As_path.t array;
       (* by slot: what the peer currently holds from us *)
-  damp : (int, Damping.t) Hashtbl.t;
-      (* per-peer flap state; populated only when damping is configured *)
+  mutable damp : Damping.t option array;
+      (* by slot: flap state, created only when damping is configured *)
   mutable reuse_timer : Dessim.Engine.handle option;
 }
 
@@ -72,7 +73,7 @@ let dest_state t prefix =
           exported = As_path.absent;
           rib_in = Array.make slots As_path.absent;
           advertised = Array.make slots As_path.absent;
-          damp = Hashtbl.create 8;
+          damp = Array.make slots None;
           reuse_timer = None;
         }
       in
@@ -131,8 +132,8 @@ let create_out t slot =
   Mrai.create ~mode:t.config.rate_limiter ?on_fire ~engine:t.engine
     ~draw_interval:(draw_mrai_interval t) ~transmit ()
 
-let grow arr n =
-  Array.append arr (Array.make (n - Array.length arr) As_path.absent)
+let grow empty arr n =
+  Array.append arr (Array.make (n - Array.length arr) empty)
 
 (* Give every slot the peer table has allocated its limiter and its
    cell in each destination's arrays. *)
@@ -144,13 +145,13 @@ let sync_slots t =
       Array.append t.outs
         (Array.init (slots - have) (fun i -> create_out t (have + i)));
     iter_dests t (fun st ->
-        st.rib_in <- grow st.rib_in slots;
-        st.advertised <- grow st.advertised slots)
+        st.rib_in <- grow As_path.absent st.rib_in slots;
+        st.advertised <- grow As_path.absent st.advertised slots;
+        st.damp <- grow None st.damp slots)
   end
 
-let create ?(checker = Faults.Invariant.off) ?(obs = Obs.Bus.off)
-    ?(prefix_obs = false) ?paths ?prefixes ~engine ~config ~rng ~node ~peers
-    ~emit ~on_next_hop_change () =
+let create ?(checker = Faults.Invariant.off) ?(obs = Obs.Bus.off) ?paths
+    ?prefixes ~engine ~config ~rng ~node ~peers ~emit ~on_next_hop_change () =
   Config.validate config;
   let t =
     {
@@ -160,7 +161,7 @@ let create ?(checker = Faults.Invariant.off) ?(obs = Obs.Bus.off)
       rng;
       checker;
       obs;
-      prefix_obs;
+      prefix_obs = Option.is_some prefixes;
       paths = (match paths with Some t -> t | None -> As_path.default_table ());
       prefixes =
         (match prefixes with Some t -> t | None -> Prefix.Table.create ());
@@ -179,8 +180,8 @@ let create ?(checker = Faults.Invariant.off) ?(obs = Obs.Bus.off)
 
 (* --- route-flap damping hooks --- *)
 
-let damp_state t st peer =
-  match Hashtbl.find_opt st.damp peer with
+let damp_state t st slot =
+  match st.damp.(slot) with
   | Some d -> d
   | None ->
       let d =
@@ -188,16 +189,13 @@ let damp_state t st peer =
         | Some params -> Damping.create params
         | None -> assert false (* only called when damping is on *)
       in
-      Hashtbl.add st.damp peer d;
+      st.damp.(slot) <- Some d;
       d
 
-let peer_suppressed t st peer =
-  match t.config.damping with
+let slot_suppressed t st slot =
+  match st.damp.(slot) with
   | None -> false
-  | Some _ -> (
-      match Hashtbl.find_opt st.damp peer with
-      | None -> false
-      | Some d -> Damping.suppressed d ~now:(Dessim.Engine.now t.engine))
+  | Some d -> Damping.suppressed d ~now:(Dessim.Engine.now t.engine)
 
 (* --- decision process --- *)
 
@@ -222,7 +220,7 @@ let best_candidate t st =
         let peer = Peer_table.peer_of_slot peers slot in
         if
           policy.Policy.import_ok ~self peer path
-          && (not (peer_suppressed t st peer))
+          && (not (slot_suppressed t st slot))
           && (!best_path == As_path.absent
              || policy.Policy.prefer ~self peer path !best_peer !best_path < 0)
         then begin
@@ -374,19 +372,18 @@ let rec schedule_reuse t st =
   | Some _ ->
       let now = Dessim.Engine.now t.engine in
       let earliest =
-        (* bgpsim-lint: allow D001 — commutative Float.min over a read-only fold *)
-        Hashtbl.fold
-          (fun peer d acc ->
-            let slot = Peer_table.slot t.live_peers peer in
-            if slot >= 0 && st.rib_in.(slot) != As_path.absent then
-              match Damping.reuse_at d ~now with
-              | None -> acc
-              | Some time -> (
-                  match acc with
-                  | None -> Some time
-                  | Some best -> Some (Float.min best time))
-            else acc)
-          st.damp None
+        Seq.fold_left
+          (fun acc (slot, d) ->
+            match d with
+            | Some d when st.rib_in.(slot) != As_path.absent -> (
+                match Damping.reuse_at d ~now with
+                | None -> acc
+                | Some time -> (
+                    match acc with
+                    | None -> Some time
+                    | Some best -> Some (Float.min best time)))
+            | Some _ | None -> acc)
+          None (Array.to_seqi st.damp)
       in
       Option.iter Dessim.Engine.cancel st.reuse_timer;
       st.reuse_timer <-
@@ -453,7 +450,7 @@ let handle_msg t ~from msg =
     | Announce { prefix; path } ->
         let st = dest_state t prefix in
         if t.config.damping <> None then
-          Damping.on_update (damp_state t st from)
+          Damping.on_update (damp_state t st slot)
             ~now:(Dessim.Engine.now t.engine);
         (* Path-based poison reverse: a path through us is unusable; per
            the implicit-withdraw rule it still replaces (hence removes)
@@ -468,7 +465,7 @@ let handle_msg t ~from msg =
     | Withdraw { prefix } ->
         let st = dest_state t prefix in
         if t.config.damping <> None then
-          Damping.on_withdrawal (damp_state t st from)
+          Damping.on_withdrawal (damp_state t st slot)
             ~now:(Dessim.Engine.now t.engine);
         st.rib_in.(slot) <- As_path.absent;
         if t.config.assertion then
@@ -483,7 +480,7 @@ let session_down t ~peer =
     Mrai.reset t.outs.(slot);
     iter_dests t (fun st ->
         st.rib_in.(slot) <- As_path.absent;
-        Hashtbl.remove st.damp peer;
+        st.damp.(slot) <- None;
         st.advertised.(slot) <- As_path.absent;
         recompute t st;
         schedule_reuse t st)
@@ -574,9 +571,9 @@ let suppressed_peers t prefix =
   match find_dest t prefix with
   | None -> []
   | Some st ->
-      Hashtbl.to_seq_keys st.damp |> List.of_seq
-      |> List.filter (peer_suppressed t st)
-      |> List.sort Int.compare
+      List.filter
+        (fun peer -> slot_suppressed t st (Peer_table.slot t.live_peers peer))
+        (peers t)
 
 let prefix_table t = t.prefixes
 

@@ -24,7 +24,6 @@ type t
 val create :
   ?checker:Faults.Invariant.t ->
   ?obs:Obs.Bus.t ->
-  ?prefix_obs:bool ->
   ?paths:As_path.Table.t ->
   ?prefixes:Prefix.Table.t ->
   engine:Dessim.Engine.t ->
@@ -49,11 +48,7 @@ val create :
 
     [obs] (default {!Obs.Bus.off}) receives [Originate]/[Withdrawal]
     trace events, per-peer [Mrai_fire] events and decision-process
-    counter bumps.  [prefix_obs] (default [false]) additionally tags
-    those events with the dense prefix id from the speaker's prefix
-    table — multi-prefix (mesh) simulations enable it; single-prefix
-    simulations leave it off so their traces keep the historical
-    byte-exact form.
+    counter bumps.
 
     [paths] (default: the domain's {!As_path.default_table}) is the
     arena this speaker interns announcement paths into; a simulation
@@ -64,7 +59,9 @@ val create :
     to dense ids; a prefix id indexes the speaker's destinations and
     keys its MRAI limiters.  A mesh simulation passes one shared table
     to all of its speakers so that trace prefix ids agree across
-    nodes. *)
+    nodes.  Given [prefixes], the speaker also tags its [Originate] and
+    [Withdrawal] events with the prefix id; without it, events are
+    untagged, so single-prefix traces keep their byte-exact form. *)
 
 val node : t -> int
 

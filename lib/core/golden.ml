@@ -37,11 +37,14 @@ let find name = List.find_opt (fun f -> f.name = name) fixtures
    check: `bgpsim_cli run --trace out.jsonl` on Clique 5 / T_down. *)
 let canonical = clique5_tdown
 
-let events f =
+(* The events [run] emits on a bus with a memory sink. *)
+let record run =
   let sink, contents = Obs.Sink.memory () in
-  let obs = Obs.Bus.create ~sink () in
-  let (_ : Experiment.run) = Experiment.run ~obs f.spec in
+  run (Obs.Bus.create ~sink ());
   contents ()
+
+let events f =
+  record (fun obs -> ignore (Experiment.run ~obs f.spec : Experiment.run))
 
 let digest f = Obs.Trace_digest.of_events (events f)
 
@@ -114,21 +117,24 @@ let mesh_fixtures =
     internet29_mesh_churn;
   ]
 
-let mesh_events m =
-  let sink, contents = Obs.Sink.memory () in
-  let obs = Obs.Bus.create ~sink () in
-  let (_ : Bgp.Mesh_sim.outcome) =
-    Bgp.Mesh_sim.run ~obs ~params:m.params ~config:m.config ?churn:m.churn
-      ~graph:m.graph ~victim:m.victim ~seed:1 ()
-  in
-  contents ()
-
-let mesh_digest m = Obs.Trace_digest.of_events (mesh_events m)
-
-let mesh_digest_line m = Printf.sprintf "%s %s" m.mesh_name (mesh_digest m)
+let traces =
+  List.map (fun f -> (f.name, fun () -> events f)) fixtures
+  @ List.map
+      (fun m ->
+        ( m.mesh_name,
+          fun () ->
+            record (fun obs ->
+                ignore
+                  (Bgp.Mesh_sim.run ~obs ~params:m.params ~config:m.config
+                     ?churn:m.churn ~graph:m.graph ~victim:m.victim ~seed:1 ()
+                    : Bgp.Mesh_sim.outcome)) ))
+      mesh_fixtures
 
 let digest_lines () =
-  List.map digest_line fixtures @ List.map mesh_digest_line mesh_fixtures
+  List.map
+    (fun (name, events) ->
+      Printf.sprintf "%s %s" name (Obs.Trace_digest.of_events (events ())))
+    traces
 
 (* Fixture-file format: one "<name> <hex-md5>" pair per line; blank
    lines and '#' comments are ignored. *)

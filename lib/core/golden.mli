@@ -45,7 +45,8 @@ type mesh_fixture = {
     its own prefix, [victim]'s prefix withdrawn, seed 1, under [params]
     and [config], with the optional background [churn].  Not an
     {!Experiment.spec} (those are single-prefix), so mesh fixtures are
-    listed in {!mesh_fixtures} instead of {!fixtures}. *)
+    listed in {!mesh_fixtures} instead of {!fixtures}; {!traces} names
+    both. *)
 
 val mesh_fixtures : mesh_fixture list
 (** On clique 5 with victim 0, all at MRAI 30 s: ["clique5-mesh"]
@@ -59,18 +60,14 @@ val mesh_fixtures : mesh_fixture list
     the first min-degree node withdrawn while the first 5 other nodes
     flap for 4 cycles of 60 s. *)
 
-val mesh_events : mesh_fixture -> Obs.Event.t list
-(** Run a full-mesh fixture with a memory sink and return its
-    per-prefix-tagged trace. *)
-
-val mesh_digest : mesh_fixture -> string
-(** Hex md5 of a full-mesh fixture's JSONL trace. *)
-
-val mesh_digest_line : mesh_fixture -> string
-(** ["<mesh_name> <digest>"]. *)
+val traces : (string * (unit -> Obs.Event.t list)) list
+(** Every named trace in fixture-file order: the {!fixtures}, then the
+    {!mesh_fixtures}, each with the run that returns its events (a full
+    mesh trace is per-prefix tagged). *)
 
 val digest_lines : unit -> string list
-(** All {!fixtures} lines followed by the {!mesh_fixtures} lines. *)
+(** ["<name> <digest>"] for every one of {!traces}, in order, where the
+    digest is the hex md5 of the trace's JSONL. *)
 
 val parse_expected : string -> (string * string) list
 (** Parse fixture-file text (["<name> <digest>"] lines; blanks and

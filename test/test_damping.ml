@@ -153,6 +153,24 @@ let test_speaker_reuses_after_decay () =
   Alcotest.(check bool) "short path reinstated" true
     (Bgp.Speaker.next_hop speaker prefix0 = Some 4)
 
+(* A session reset drops the peer's flap state with its routes, so the
+   re-established session starts with no penalty. *)
+let test_speaker_session_reset_forgets_flaps () =
+  let engine, speaker = speaker_with_damping () in
+  Bgp.Speaker.handle_msg speaker ~from:6
+    (Bgp.Msg.Announce { prefix = prefix0; path = path [ 6; 9; 0 ] });
+  flap engine speaker 2;
+  Alcotest.(check (list int)) "peer 4 suppressed" [ 4 ]
+    (Bgp.Speaker.suppressed_peers speaker prefix0);
+  Bgp.Speaker.session_down speaker ~peer:4;
+  Bgp.Speaker.session_up speaker ~peer:4;
+  Bgp.Speaker.handle_msg speaker ~from:4
+    (Bgp.Msg.Announce { prefix = prefix0; path = path [ 4; 0 ] });
+  Alcotest.(check (list int)) "nothing suppressed" []
+    (Bgp.Speaker.suppressed_peers speaker prefix0);
+  Alcotest.(check bool) "short path wins" true
+    (Bgp.Speaker.next_hop speaker prefix0 = Some 4)
+
 let test_speaker_without_damping_never_suppresses () =
   let engine = Dessim.Engine.create () in
   let speaker =
@@ -217,6 +235,8 @@ let () =
         [
           tc "suppresses a flapping peer" test_speaker_suppresses_flapping_peer;
           tc "reuses after decay" test_speaker_reuses_after_decay;
+          tc "session reset forgets flaps"
+            test_speaker_session_reset_forgets_flaps;
           tc "no damping, no suppression"
             test_speaker_without_damping_never_suppresses;
         ] );

@@ -295,6 +295,52 @@ let test_linearity_helper () =
   (* convergence grows with MRAI: positive slope, decent fit *)
   Alcotest.(check bool) "positive slope" true (fit.slope > 0.)
 
+(* --- Figures --- *)
+
+(* The fig7 alias runs the two series Figures 5 and 7 share and writes
+   exactly their CSVs, each the series_csv of the same specs over seeds
+   1-3. *)
+let test_figures_fig7_csvs () =
+  let dir = Filename.temp_file "figures" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      Parallel.with_pool ~jobs:2 (fun pool ->
+          Figures.run ~pool ~dir [ "fig7" ]);
+      let expected =
+        [
+          ( "fig5a_fig7a_clique15_tdown_vs_mrai.csv",
+            Experiment.Clique 15,
+            Experiment.Tdown );
+          ( "fig5b_fig7b_bclique10_tlong_vs_mrai.csv",
+            Experiment.B_clique 10,
+            Experiment.Tlong );
+        ]
+      in
+      Alcotest.(check (list string))
+        "exactly the two files"
+        (List.map (fun (file, _, _) -> file) expected)
+        (List.sort compare (Array.to_list (Sys.readdir dir)));
+      List.iter
+        (fun (file, topology, event) ->
+          let series =
+            Sweep.series
+              ~make:(fun mrai ->
+                { (Experiment.default_spec topology) with event; mrai })
+              ~seeds:[ 1; 2; 3 ]
+              [ 10.; 20.; 30.; 40.; 50.; 60. ]
+          in
+          Alcotest.(check string) file
+            (Metrics.Export.series_csv ~x_label:"mrai" series)
+            (In_channel.with_open_bin (Filename.concat dir file)
+               In_channel.input_all))
+        expected)
+
 (* --- Report --- *)
 
 let test_table_layout () =
@@ -372,6 +418,8 @@ let () =
           tc "seed dispersion summary" test_over_seeds_summary;
           tc "linearity helper" test_linearity_helper;
         ] );
+      ( "figures",
+        [ tc "fig7 alias writes its two CSVs" test_figures_fig7_csvs ] );
       ( "report",
         [
           tc "table layout" test_table_layout;

@@ -24,10 +24,7 @@ let test_fixture_file_well_formed () =
   let pairs = expected () in
   Alcotest.(check (list string))
     "one committed digest per fixture (mesh last), same order"
-    (List.map (fun (f : Golden.fixture) -> f.name) Golden.fixtures
-    @ List.map
-        (fun (m : Golden.mesh_fixture) -> m.mesh_name)
-        Golden.mesh_fixtures)
+    (List.map fst Golden.traces)
     (List.map fst pairs);
   List.iter
     (fun (_, d) ->
@@ -41,23 +38,15 @@ let test_fixture_file_well_formed () =
 let test_digests_match_committed () =
   let pairs = expected () in
   List.iter
-    (fun (f : Golden.fixture) ->
-      match List.assoc_opt f.name pairs with
-      | None -> Alcotest.fail ("no committed digest for " ^ f.name)
+    (fun (name, events) ->
+      match List.assoc_opt name pairs with
+      | None -> Alcotest.fail ("no committed digest for " ^ name)
       | Some want ->
           Alcotest.(check string)
-            (f.name ^ " digest unchanged")
-            want (Golden.digest f))
-    Golden.fixtures;
-  List.iter
-    (fun (m : Golden.mesh_fixture) ->
-      match List.assoc_opt m.mesh_name pairs with
-      | None -> Alcotest.fail ("no committed digest for " ^ m.mesh_name)
-      | Some want ->
-          Alcotest.(check string)
-            (m.mesh_name ^ " digest unchanged")
-            want (Golden.mesh_digest m))
-    Golden.mesh_fixtures
+            (name ^ " digest unchanged")
+            want
+            (Obs.Trace_digest.of_events (events ())))
+    Golden.traces
 
 let test_digest_stable_across_recompute () =
   let f = Golden.canonical in
@@ -96,10 +85,12 @@ let test_parse_expected_skips_noise () =
     [ ("name1", "abc"); ("name2", "def") ]
     pairs
 
-(* The binary-trace oracle: for every fixture, the JSONL re-emitted
+(* The binary-trace oracle: for every named trace, the JSONL re-emitted
    from a decoded binary trace must be byte-identical to the JSONL the
    same run writes directly.  This is what lets the binary fast path
-   keep the JSONL digests as the golden values. *)
+   keep the JSONL digests as the golden values; the mesh fixtures take
+   the per-prefix-tagged frames (format 2's trailing prefix field)
+   through the same oracle. *)
 let test_binary_decode_byte_identical () =
   let dir = Filename.temp_file "golden_bin" "" in
   Sys.remove dir;
@@ -147,15 +138,9 @@ let test_binary_decode_byte_identical () =
           (Obs.Trace_digest.of_file jsonl_path)
       in
       List.iter
-        (fun (f : Golden.fixture) ->
-          oracle f.name (Golden.events f) (Golden.digest f))
-        Golden.fixtures;
-      (* the mesh fixtures exercise the per-prefix-tagged frames (format
-         2's trailing prefix field) through the same oracle *)
-      List.iter
-        (fun (m : Golden.mesh_fixture) ->
-          oracle m.mesh_name (Golden.mesh_events m) (Golden.mesh_digest m))
-        Golden.mesh_fixtures)
+        (fun (name, events) ->
+          oracle name (events ()) (Obs.Trace_digest.of_events (events ())))
+        Golden.traces)
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in

@@ -1,6 +1,7 @@
 (* Integration tests that reproduce the paper's qualitative findings at
    small scale (kept small so `dune runtest` stays fast; the full-size
-   reproductions live in bench/main.ml):
+   reproductions are `bgpsim figures`, over the grid in
+   lib/core/figures.ml):
 
    - Figure 1's loop-formation example, node for node;
    - Observation 1: overall looping duration tracks convergence time,
