@@ -8,10 +8,10 @@
    - speakers share a [Prefix.Table] (pre-interned in origin order, so
      prefix id = origin index) and tag every per-prefix trace event with
      its dense id;
-   - a streaming loop scanner per prefix, fed forwarding changes as
-     they happen, replaces the post-hoc scan — loop events appear in
-     the trace chronologically interleaved with the changes that
-     caused them. *)
+   - a loop tracker per prefix ([Loopscan.Scanner]), fed forwarding
+     changes as they happen, replaces the post-hoc scan — loop events
+     appear in the trace chronologically interleaved with the changes
+     that caused them. *)
 
 type churn = { period : float; cycles : int; flappers : int list }
 
@@ -76,10 +76,11 @@ let run ?params ?config ?churn ?origins ?(max_events = 40_000_000) ?max_vtime
     List.map (fun p -> (p, Netcore.Fib_history.create ~n)) prefix_list
   in
   let fib_by_id = Array.of_list (List.map snd fibs) in
-  (* streaming scanners, armed at the warm-up boundary (a drained
-     warm-up is converged, hence loop-free — the precondition the
-     scanner checks) *)
-  let streams : Loopscan.Stream.t option array = Array.make n_prefixes None in
+  (* loop trackers, armed at the warm-up boundary (a drained warm-up is
+     converged, hence loop-free — the precondition the tracker checks) *)
+  let trackers : Loopscan.Scanner.t option array =
+    Array.make n_prefixes None
+  in
   let victim_msgs = ref 0
   and background_msgs = ref 0
   and last_victim_send = ref neg_infinity in
@@ -98,9 +99,9 @@ let run ?params ?config ?churn ?origins ?(max_events = 40_000_000) ?max_vtime
     let pid = Prefix.Table.id table prefix in
     Netcore.Fib_history.record fib_by_id.(pid) ~time:now ~node ~next_hop;
     Obs.Bus.fib_change obs ~prefix:pid ~time:now ~node ~next_hop;
-    match streams.(pid) with
-    | Some stream ->
-        Loopscan.Stream.observe ~obs ~prefix:pid stream ~time:now ~node
+    match trackers.(pid) with
+    | Some tracker ->
+        Loopscan.Scanner.observe ~obs ~prefix:pid tracker ~time:now ~node
           ~next_hop
     | None -> ()
   in
@@ -119,15 +120,15 @@ let run ?params ?config ?churn ?origins ?(max_events = 40_000_000) ?max_vtime
   (* warm-up: all prefixes originate *)
   Network.originate_all net ~at:0.;
   let warmup = run_phase () in
-  (* arm the streaming scanners on the converged forwarding state; a
-     warm-up that did not drain may hold transient loops the scanner
-     rejects, so streaming is skipped (loop_reports stays empty) *)
+  (* arm the loop trackers on the converged forwarding state; a warm-up
+     that did not drain may hold transient loops the tracker rejects,
+     so tracking is skipped (loop_reports stays empty) *)
   if warmup = Network.Drained then
     List.iteri
       (fun pid (origin, (_p, fib)) ->
-        streams.(pid) <-
+        trackers.(pid) <-
           Some
-            (Loopscan.Stream.create ~record:true ~origin
+            (Loopscan.Scanner.create ~record:true ~origin
                ~initial:(Netcore.Fib_history.snapshot fib ~before:infinity)
                ()))
       (List.combine origins fibs);
@@ -165,8 +166,8 @@ let run ?params ?config ?churn ?origins ?(max_events = 40_000_000) ?max_vtime
     List.concat
       (List.mapi
          (fun pid (p, _fib) ->
-           match streams.(pid) with
-           | Some stream -> [ (p, Loopscan.Stream.report stream) ]
+           match trackers.(pid) with
+           | Some tracker -> [ (p, Loopscan.Scanner.report tracker) ]
            | None -> [])
          fibs)
   in

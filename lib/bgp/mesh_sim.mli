@@ -14,10 +14,10 @@
 
     Observability is per prefix: [Update_sent]/[Update_recv]/
     [Originate]/[Withdrawal]/[Fib_change] events carry the prefix id,
-    and a streaming loop scanner per prefix (armed on the converged
-    warm-up state) emits [Loop_detected]/[Loop_resolved] events
-    chronologically interleaved with the forwarding changes that caused
-    them.
+    and a {!Loopscan.Scanner} tracker per prefix (armed on the converged
+    warm-up state and fed each change as it happens) emits
+    [Loop_detected]/[Loop_resolved] events chronologically interleaved
+    with the forwarding changes that caused them.
 
     Restricted to a single origin, a run evolves identically to
     {!Routing_sim}'s [Tdown] — same RNG stream, same event schedule,
@@ -38,9 +38,10 @@ type outcome = {
       (** one forwarding history per prefix, in origin order (so the
           list index is the prefix id used in trace events) *)
   loop_reports : (Prefix.t * Loopscan.Scanner.report) list;
-      (** per-prefix streaming loop scans over the post-warm-up phase;
-          empty when the warm-up did not drain (the scanners need a
-          loop-free converged state to start from) *)
+      (** per-prefix loop reports over the post-warm-up phase, equal
+          to {!Loopscan.Scanner.scan} of the prefix's history from
+          [t_fail]; empty when the warm-up did not drain (the trackers
+          need a loop-free converged state to start from) *)
   t_fail : float;
   victim : Prefix.t;
   victim_convergence_end : float;

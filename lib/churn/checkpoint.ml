@@ -3,7 +3,7 @@
    A checkpoint is only ever taken at a drained epoch boundary: the
    engine queue is empty, every MRAI timer is idle and no message is
    in flight, so the whole simulation state reduces to plain data —
-   speaker snapshots, the FIB mirror, the streaming scanner, the RNG
+   speaker snapshots, the FIB mirror, the loop tracker, the RNG
    streams and the down-link set.  The file is a fixed ASCII header
    (so a wrong file fails loudly, not with a marshal segfault), the
    payload's length (int64 LE) and md5, then the payload: one
@@ -22,7 +22,7 @@ type t = {
   links_down : (int * int) array;
   speakers : Bgp.Speaker.snapshot array;
   fib : int option array;
-  scan : Loopscan.Stream.t;
+  scan : Loopscan.Scanner.t;
   rng_proc : Dessim.Rng.t;
   rng_workload : Dessim.Rng.t;
   rng_speakers : Dessim.Rng.t array;

@@ -3,8 +3,8 @@
     Checkpoints are taken only at drained epoch boundaries, where the
     whole simulation state is plain data (no engine events, no MRAI
     timers, no in-flight messages): speaker snapshots, the FIB mirror,
-    the streaming loop scanner, the RNG streams and the set of links
-    currently down.  Restoring one and continuing reproduces the
+    the loop tracker, the RNG streams and the set of links currently
+    down.  Restoring one and continuing reproduces the
     uninterrupted run bit-for-bit — the resume-equivalence tests
     compare golden trace digests across a kill/resume.
 
@@ -13,7 +13,10 @@
     payload: one [Marshal]ed {!t}.  {!read} verifies the length and
     the md5 before unmarshalling.  Files are written atomically
     (temp + rename), so an interrupted write never corrupts the
-    previous checkpoint.
+    previous checkpoint.  The payload bytes are the memory layout of
+    every record in {!t}, the loop tracker and the speaker snapshots
+    included: a change to any of those layouts needs a {!version} bump
+    (test_churn pins the bytes of one run).
 
     Version history: v1 chained digests over JSONL lines; v2 chains
     digests over {!Obs.Binary} frames; v3 follows {!Obs.Binary} format
@@ -46,7 +49,7 @@ type t = {
   links_down : (int * int) array;  (** links down at the boundary *)
   speakers : Bgp.Speaker.snapshot array;
   fib : int option array;  (** next hop per node toward the prefix *)
-  scan : Loopscan.Stream.t;  (** streaming scanner state *)
+  scan : Loopscan.Scanner.t;  (** loop tracker state *)
   rng_proc : Dessim.Rng.t;
   rng_workload : Dessim.Rng.t;
   rng_speakers : Dessim.Rng.t array;

@@ -3,17 +3,17 @@
    One persistent simulation driven through a sequence of workload
    epochs.  Each epoch: schedule that epoch's churn events (from
    {!Workload}), run the engine to drain, then do boundary work —
-   stream-scanner bookkeeping, digest chaining, stall detection, arena
+   loop-tracker bookkeeping, digest chaining, stall detection, arena
    compaction, checkpointing.  Epoch boundaries are the only places
    the run pauses, because a drained network is plain data: that is
    what makes checkpoint/resume exact and arena compaction safe.
 
-   Memory is bounded by construction: no Trace, no unbounded FIB
-   history (a [fib_now] array mirrors the forwarding state), the
-   streaming scanner holds only live loops unless [record_loops], and
-   the path arena is rebuilt from live handles every [compact_every]
-   epochs.  [keep_fib_history] re-enables the full history for the
-   differential tests only. *)
+   Memory is bounded by construction: no Trace, no FIB history (a
+   [fib_now] array mirrors the forwarding state), the loop tracker
+   holds only live loops and totals, and the path arena is rebuilt
+   from live handles every [compact_every] epochs.  A caller that
+   wants the history rebuilds it from the [Fib_change] events on
+   [?sink]. *)
 
 type status =
   | Completed
@@ -44,8 +44,6 @@ type cfg = {
   checkpoint_every : int;
   compact_every : int;
   digest : bool;
-  keep_fib_history : bool;
-  record_loops : bool;
   stall_epochs : int option;
   max_epoch_events : int;
   kill_after_epoch : int option;
@@ -54,9 +52,8 @@ type cfg = {
 let make ?(seed = 1) ?(bgp = Bgp.Config.default)
     ?(params = Netcore.Params.default) ?(workload = Workload.make ())
     ?(epochs = 10) ?target_events ?checkpoint_dir ?(checkpoint_every = 4)
-    ?(compact_every = 8) ?(digest = true) ?(keep_fib_history = false)
-    ?(record_loops = false) ?stall_epochs ?(max_epoch_events = 50_000_000)
-    ?kill_after_epoch ~graph ~origin () =
+    ?(compact_every = 8) ?(digest = true) ?stall_epochs
+    ?(max_epoch_events = 50_000_000) ?kill_after_epoch ~graph ~origin () =
   {
     graph;
     origin;
@@ -70,8 +67,6 @@ let make ?(seed = 1) ?(bgp = Bgp.Config.default)
     checkpoint_every;
     compact_every;
     digest;
-    keep_fib_history;
-    record_loops;
     stall_epochs;
     max_epoch_events;
     kill_after_epoch;
@@ -95,14 +90,12 @@ type result = {
   events_executed : int;
   vtime : float;
   chain_digest : string option;
-  loop_totals : Loopscan.Stream.totals;
-  loops : Loopscan.Scanner.report option;
+  loop_totals : Loopscan.Scanner.totals;
   counters : Obs.Counters.snapshot;
   arena_size : int;
   arena_words : int;
   arena_peak : int;
   last_checkpoint : string option;
-  fib_history : Netcore.Fib_history.t option;
   scan_begin : float;
 }
 
@@ -169,8 +162,6 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
           invalid_arg
             "Churn.Driver: checkpoint was taken under a different \
              configuration (fingerprint mismatch)";
-        if cfg.keep_fib_history then
-          invalid_arg "Churn.Driver: keep_fib_history cannot resume";
         Some ck
   in
   let engine =
@@ -212,29 +203,22 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
         (Dessim.Rng.split root ~label:"proc", workload, speakers)
   in
   let prefix = Bgp.Prefix.make ~origin:cfg.origin () in
-  (* --- bounded forwarding-state mirror + streaming scanner feed --- *)
+  (* --- bounded forwarding-state mirror + loop tracker feed --- *)
   let fib_now =
     match ckpt with
     | Some ck -> Array.copy ck.Checkpoint.fib
     | None -> Array.make n None
-  in
-  let fib_hist =
-    if cfg.keep_fib_history then Some (Netcore.Fib_history.create ~n)
-    else None
   in
   let scan = ref (match ckpt with Some ck -> Some ck.Checkpoint.scan | None -> None) in
   let epoch_fib_changes = ref 0 in
   let on_next_hop_change node ~prefix:p ~next_hop =
     assert (Bgp.Prefix.equal p prefix);
     let time = Dessim.Engine.now engine in
-    (match fib_hist with
-    | Some h -> Netcore.Fib_history.record h ~time ~node ~next_hop
-    | None -> ());
     fib_now.(node) <- next_hop;
     incr epoch_fib_changes;
     Obs.Bus.fib_change obs ~time ~node ~next_hop;
     match !scan with
-    | Some s -> Loopscan.Stream.observe ~obs s ~time ~node ~next_hop
+    | Some s -> Loopscan.Scanner.observe ~obs s ~time ~node ~next_hop
     | None -> ()
   in
   let net =
@@ -357,7 +341,7 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
   let status = ref None in
   let scan_begin = ref (Dessim.Engine.now engine) in
   (* --- warm-up (fresh runs only): originate and converge, then arm
-     the streaming scanner on the converged (loop-free) state --- *)
+     the loop tracker on the converged (loop-free) state --- *)
   (match ckpt with
   | Some _ -> ()
   | None ->
@@ -367,8 +351,7 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
       if !status = None then begin
         scan :=
           Some
-            (Loopscan.Stream.create ~record:cfg.record_loops
-               ~origin:cfg.origin ~initial:fib_now ());
+            (Loopscan.Scanner.create ~origin:cfg.origin ~initial:fib_now ());
         Buffer.clear digest_buf (* warm-up events are not part of the chain *)
       end);
   (* --- epoch loop --- *)
@@ -441,7 +424,7 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
                   ei_fib_changes = !epoch_fib_changes;
                   ei_live_loops =
                     (match !scan with
-                    | Some s -> Loopscan.Stream.live_loops s
+                    | Some s -> Loopscan.Scanner.live_loops s
                     | None -> 0);
                   ei_arena_size = arena_size ();
                   ei_compacted = compacted;
@@ -465,8 +448,8 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
     match !scan with
     | Some s -> s
     | None ->
-        (* warm-up was cut before the scanner armed *)
-        Loopscan.Stream.create ~record:cfg.record_loops ~origin:cfg.origin
+        (* warm-up was cut before the tracker armed *)
+        Loopscan.Scanner.create ~origin:cfg.origin
           ~initial:(Array.make n None) ()
   in
   {
@@ -475,15 +458,11 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
     events_executed = cum_events ();
     vtime;
     chain_digest = (if cfg.digest then Some !chain else None);
-    loop_totals = Loopscan.Stream.totals scan_state ~until:vtime;
-    loops =
-      (if cfg.record_loops then Some (Loopscan.Stream.report scan_state)
-       else None);
+    loop_totals = Loopscan.Scanner.totals scan_state ~until:vtime;
     counters = final_counters;
     arena_size = arena_size ();
     arena_words = Bgp.As_path.Table.words (Bgp.Network.paths net);
     arena_peak = !arena_peak;
     last_checkpoint = !last_ckpt;
-    fib_history = fib_hist;
     scan_begin = !scan_begin;
   }

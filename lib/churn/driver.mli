@@ -23,10 +23,13 @@
       without a single FIB change yield a structured [Stalled] status
       instead of silent spinning.
 
-    Memory is bounded by construction: no event trace is retained
-    (observability streams through the bus), the forwarding state is a
-    flat [int option array] mirror, and the streaming scanner
-    ({!Loopscan.Stream}) holds only live loops unless [record_loops].
+    Memory is bounded by construction: no event trace or FIB history
+    is retained (observability streams through the bus), the
+    forwarding state is a flat [int option array] mirror, and the loop
+    tracker ({!Loopscan.Scanner.t}, fed each FIB change as it happens)
+    holds only live loops and running totals.  A caller that wants the
+    FIB history or the per-loop list rebuilds it from the [Fib_change]
+    and [Loop_*] events on [?sink].
 
     Wall-clock budgets come from a {!Faults.Watchdog}: expiry is
     noticed at event-chunk granularity, the run degrades gracefully
@@ -63,10 +66,6 @@ type cfg = {
   digest : bool;
       (** fold every trace event into the per-epoch digest chain;
           turn off for throughput benchmarks *)
-  keep_fib_history : bool;
-      (** retain the full FIB history (differential tests only;
-          incompatible with resume) *)
-  record_loops : bool;  (** keep finished loops for {!result.loops} *)
   stall_epochs : int option;
   max_epoch_events : int;  (** hang protection within one epoch *)
   kill_after_epoch : int option;
@@ -83,8 +82,6 @@ val make :
   ?checkpoint_every:int ->
   ?compact_every:int ->
   ?digest:bool ->
-  ?keep_fib_history:bool ->
-  ?record_loops:bool ->
   ?stall_epochs:int ->
   ?max_epoch_events:int ->
   ?kill_after_epoch:int ->
@@ -94,8 +91,7 @@ val make :
   cfg
 (** Defaults: seed 1, default BGP config and paper parameters, default
     workload, 10 epochs, checkpoint every 4, compact every 8, digest
-    on, no history, no loop recording, no stall limit, 50 M events per
-    epoch, no kill. *)
+    on, no stall limit, 50 M events per epoch, no kill. *)
 
 val fingerprint : cfg -> string
 (** Hex digest of everything that shapes the trace (graph, origin,
@@ -121,17 +117,18 @@ type result = {
   vtime : float;
   chain_digest : string option;  (** the rolling chain; [None] when
                                      [digest] was off *)
-  loop_totals : Loopscan.Stream.totals;
-  loops : Loopscan.Scanner.report option;  (** when [record_loops] *)
+  loop_totals : Loopscan.Scanner.totals;
+      (** over the loops that formed after [scan_begin] (for a resumed
+          run: after the original run's warm-up), survivors charged up
+          to [vtime] *)
   counters : Obs.Counters.snapshot;
       (** cumulative (checkpointed counters merged in on resume) *)
   arena_size : int;
   arena_words : int;
   arena_peak : int;  (** max arena size seen at any boundary *)
   last_checkpoint : string option;
-  fib_history : Netcore.Fib_history.t option;  (** when [keep_fib_history] *)
-  scan_begin : float;  (** vtime the streaming scanner armed (warm-up
-                           end, or the resume point) *)
+  scan_begin : float;  (** vtime the loop tracker armed (warm-up end,
+                           or the resume point) *)
 }
 
 val run :

@@ -4,16 +4,18 @@
    a single prefix: [Routing_sim.run ~event:Tdown] and
    [Mesh_sim.run ~origins:[o] ~victim:0] perform identical event
    schedules (same RNG split order, same originate/inject times), so
-   their FIB histories must match change for change, and the mesh's
-   streamed loop report must equal a post-hoc scan of Routing_sim's
-   history — the two simulators AND the two scanner implementations
-   agree.  Any divergence — a missed intern, an arena-dependent
-   comparison, an ordering change in the decision process, a shared
-   prefix table that behaves differently from a private one — shows up
-   here before it shows up in a golden digest.
+   their FIB histories must match change for change, and the loop
+   report the mesh's tracker built as the run went must equal a
+   post-hoc scan of Routing_sim's history.  Any divergence — a missed
+   intern, an arena-dependent comparison, an ordering change in the
+   decision process, a shared prefix table that behaves differently
+   from a private one — shows up here before it shows up in a golden
+   digest.
 
-   The second half pins the arena itself with QCheck properties against
-   the obvious list model. *)
+   The loop tracker ([Loopscan.Scanner]) is compared with the
+   brute-force oracle in loop_oracle.ml on the simulators' histories,
+   and the arena is pinned with QCheck properties against the obvious
+   list model. *)
 
 let fmt = Printf.sprintf
 
@@ -23,11 +25,7 @@ let change_repr (c : Netcore.Fib_history.change) =
   fmt "t=%h node=%d nh=%s" c.time c.node
     (match c.next_hop with None -> "-" | Some n -> string_of_int n)
 
-let loop_repr (l : Loopscan.Scanner.loop) =
-  fmt "members=%s trigger=%d birth=%h death=%s"
-    (String.concat "," (List.map string_of_int l.members))
-    l.trigger l.birth
-    (match l.death with None -> "alive" | Some d -> fmt "%h" d)
+let loop_repr = Loop_oracle.loop_repr
 
 let fib_changes fib =
   List.map change_repr (Netcore.Fib_history.changes_from fib ~from:0.)
@@ -149,45 +147,30 @@ let test_fixture_runs_are_deterministic () =
         (loops ~fib:(Netcore.Trace.fib b.trace) ~origin ~from:b.t_fail))
     Bgpsim.Golden.fixtures
 
-(* --- streaming scanner vs post-hoc scanner --- *)
+(* --- the loop tracker vs the brute-force oracle --- *)
 
-(* The online scanner ({!Loopscan.Stream}) must reproduce the post-hoc
-   scan exactly: seed it with the snapshot just before [from], replay
-   every change with [time >= from], and the resulting report has to
-   match loop for loop (members, trigger, birth, death) as well as in
-   its aggregates. *)
-let check_stream_matches_posthoc ~name ~fib ~origin ~from =
-  let post = Loopscan.Scanner.scan ~fib ~origin ~from () in
-  let stream =
-    Loopscan.Stream.create ~record:true ~origin
-      ~initial:(Netcore.Fib_history.snapshot fib ~before:from)
-      ()
-  in
-  List.iter
-    (fun (c : Netcore.Fib_history.change) ->
-      Loopscan.Stream.observe stream ~time:c.time ~node:c.node
-        ~next_hop:c.next_hop)
-    (Netcore.Fib_history.changes_from fib ~from);
-  let online = Loopscan.Stream.report stream in
+(* [Scanner.scan] tracks loops incrementally from the changed node
+   only; the oracle recomputes every cycle after every change.  On a
+   simulator's history the two must agree loop for loop (members,
+   trigger, birth, death, order) and in the report's summary fields. *)
+let check_scan_matches_oracle ~name ~fib ~origin ~from =
+  let want = Loop_oracle.scan ~fib ~origin ~from in
+  let got = Loopscan.Scanner.scan ~fib ~origin ~from () in
   Alcotest.(check (list string))
     (name ^ ": loop-for-loop")
-    (List.map loop_repr post.loops)
-    (List.map loop_repr online.loops);
+    (List.map loop_repr want.loops)
+    (List.map loop_repr got.loops);
   Alcotest.(check int)
     (name ^ ": max concurrent")
-    post.max_concurrent online.max_concurrent;
+    want.max_concurrent got.max_concurrent;
   Alcotest.(check (option (float 0.)))
     (name ^ ": first birth")
-    post.first_loop_birth online.first_loop_birth;
+    want.first_loop_birth got.first_loop_birth;
   Alcotest.(check (option (float 0.)))
     (name ^ ": last death")
-    post.last_loop_death online.last_loop_death;
-  Alcotest.(check int)
-    (name ^ ": live loops")
-    (List.length (List.filter (fun l -> l.Loopscan.Scanner.death = None) post.loops))
-    (Loopscan.Stream.live_loops stream)
+    want.last_loop_death got.last_loop_death
 
-let test_stream_on_golden_fixtures () =
+let test_oracle_on_golden_fixtures () =
   List.iter
     (fun (f : Bgpsim.Golden.fixture) ->
       let graph, origin, event = Bgpsim.Experiment.resolve f.spec in
@@ -195,11 +178,11 @@ let test_stream_on_golden_fixtures () =
         Bgp.Routing_sim.run ~params:f.spec.params ~graph ~origin ~event
           ~seed:f.spec.seed ()
       in
-      check_stream_matches_posthoc ~name:f.name
+      check_scan_matches_oracle ~name:f.name
         ~fib:(Netcore.Trace.fib rs.trace) ~origin ~from:rs.t_fail)
     Bgpsim.Golden.fixtures
 
-let test_stream_on_random_topologies () =
+let test_oracle_on_random_topologies () =
   List.iter
     (fun n ->
       List.iter
@@ -211,21 +194,21 @@ let test_stream_on_random_topologies () =
             | [] -> 0
           in
           let rs = Bgp.Routing_sim.run ~graph ~origin ~event:Tdown ~seed () in
-          check_stream_matches_posthoc
+          check_scan_matches_oracle
             ~name:(fmt "internet-%d/seed-%d" n seed)
             ~fib:(Netcore.Trace.fib rs.trace) ~origin ~from:rs.t_fail)
         [ 1; 2; 3; 4 ])
     [ 10; 14; 18 ]
 
-(* Replaying from t = 0 includes the originate wave: the stream starts
+(* Replaying from t = 0 includes the originate wave: the scan starts
    from the empty FIB and must still agree. *)
-let test_stream_from_cold_start () =
+let test_oracle_from_cold_start () =
   let graph = Topo.Internet.generate ~seed:7 16 in
   let origin =
     match Topo.Internet.stub_nodes graph with o :: _ -> o | [] -> 0
   in
   let rs = Bgp.Routing_sim.run ~graph ~origin ~event:Tdown ~seed:7 () in
-  check_stream_matches_posthoc ~name:"cold start"
+  check_scan_matches_oracle ~name:"cold start"
     ~fib:(Netcore.Trace.fib rs.trace) ~origin ~from:0.
 
 (* --- QCheck: the arena against the list model --- *)
@@ -355,9 +338,9 @@ let () =
       );
       ( "streaming scanner",
         [
-          tc "golden fixtures" test_stream_on_golden_fixtures;
-          tc "12 random internet topologies" test_stream_on_random_topologies;
-          tc "cold start from the empty FIB" test_stream_from_cold_start;
+          tc "golden fixtures" test_oracle_on_golden_fixtures;
+          tc "12 random internet topologies" test_oracle_on_random_topologies;
+          tc "cold start from the empty FIB" test_oracle_from_cold_start;
         ] );
       ( "arena properties",
         [

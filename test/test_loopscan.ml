@@ -1,6 +1,7 @@
-(* Tests for the forwarding-loop scanner: loop birth/death tracking
+(* Tests for the forwarding-loop tracker: loop birth/death tracking
    over hand-built FIB histories, canonical representation, concurrent
-   loops and aggregates. *)
+   loops and aggregates, and a QCheck property against the brute-force
+   oracle in loop_oracle.ml. *)
 
 let fib_with ~n changes =
   let fib = Netcore.Fib_history.create ~n in
@@ -174,6 +175,33 @@ let test_change_killing_and_reforming_at_once () =
       Alcotest.(check (float 0.)) "second born at 13" 13. b.birth
   | _ -> Alcotest.fail "expected two loops"
 
+(* Node 1 repoints 2 -> 3 -> 2 at one instant: the loop [1;2] dies and
+   re-forms at t = 10, so two loops tie on (birth, members).  The one
+   that died is listed first, whether the report comes from [scan] or
+   from a tracker fed change by change. *)
+let test_tie_finished_before_live () =
+  let changes = [ (10., 1, Some 2); (10., 1, Some 3); (10., 1, Some 2) ] in
+  let want =
+    [ "loop [1 -> 2] born 10 died 10"; "loop [1 -> 2] born 10 (alive)" ]
+  in
+  let render (r : Loopscan.Scanner.report) =
+    List.map (Format.asprintf "%a" Loopscan.Scanner.pp_loop) r.loops
+  in
+  let start = [ (0., 1, Some 0); (0., 2, Some 1); (0., 3, Some 0) ] in
+  Alcotest.(check (list string)) "scan" want
+    (render (scan ~n:4 (start @ changes)));
+  let tracker =
+    Loopscan.Scanner.create ~record:true ~origin:0
+      ~initial:[| None; Some 0; Some 1; Some 0 |]
+      ()
+  in
+  List.iter
+    (fun (time, node, next_hop) ->
+      Loopscan.Scanner.observe tracker ~time ~node ~next_hop)
+    changes;
+  Alcotest.(check (list string)) "tracker fed change by change" want
+    (render (Loopscan.Scanner.report tracker))
+
 (* --- aggregates --- *)
 
 let test_aggregate_empty () =
@@ -319,6 +347,79 @@ let prop_scanner_consistent_with_forwarder =
                [ 1; 2; 3; 4 ])
         [ 60.; 70. ])
 
+(* --- property: the tracker against the brute-force oracle --- *)
+
+(* n nodes, origin 0.  At t = 0 every other node points to a lower
+   node or has no route, so the start is loop-free; the changes fall on
+   three instants, so a loop can die and re-form at one instant. *)
+let gen_history =
+  QCheck.Gen.(
+    int_range 3 8 >>= fun n ->
+    let start =
+      flatten_l
+        (List.init (n - 1) (fun i ->
+             let v = i + 1 in
+             opt (int_range 0 (v - 1)) >|= fun nh -> (0., v, nh)))
+    in
+    let change =
+      triple (oneofl [ 1.; 2.; 3. ]) (int_range 1 (n - 1))
+        (opt (int_range 0 (n - 1)))
+    in
+    triple (return n) start (list_size (int_range 0 30) change)
+    >|= fun (n, start, changes) ->
+    let changes =
+      List.filter (fun (_, v, nh) -> nh <> Some v) changes
+      |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
+    in
+    (n, start @ changes))
+
+let print_history (n, changes) =
+  Printf.sprintf "n=%d %s" n
+    (String.concat " "
+       (List.map
+          (fun (t, v, nh) ->
+            Printf.sprintf "(%g,%d,%s)" t v
+              (match nh with None -> "-" | Some u -> string_of_int u))
+          changes))
+
+let prop_tracker_matches_oracle =
+  QCheck.Test.make ~name:"tracker = brute-force oracle" ~count:500
+    (QCheck.make gen_history ~print:print_history)
+    (fun (n, changes) ->
+      let fib = fib_with ~n changes in
+      let from = 1. and until = 10. in
+      let want = Loop_oracle.scan ~fib ~origin:0 ~from in
+      let got = Loopscan.Scanner.scan ~fib ~origin:0 ~from () in
+      let reprs (r : Loopscan.Scanner.report) =
+        List.map Loop_oracle.loop_repr r.loops
+      in
+      if reprs got <> reprs want then
+        QCheck.Test.fail_reportf "scan:@.%s@.oracle:@.%s"
+          (String.concat "\n" (reprs got))
+          (String.concat "\n" (reprs want));
+      (* a bounded-memory tracker fed change by change *)
+      let tracker =
+        Loopscan.Scanner.create ~origin:0
+          ~initial:(Netcore.Fib_history.snapshot fib ~before:from)
+          ()
+      in
+      List.iter
+        (fun (c : Netcore.Fib_history.change) ->
+          Loopscan.Scanner.observe tracker ~time:c.time ~node:c.node
+            ~next_hop:c.next_hop)
+        (Netcore.Fib_history.changes_from fib ~from);
+      let t = Loopscan.Scanner.totals tracker ~until in
+      let count p = List.length (List.filter p got.loops) in
+      let agg = Loopscan.Scanner.aggregate got ~until in
+      got.max_concurrent = want.max_concurrent
+      && got.first_loop_birth = want.first_loop_birth
+      && got.last_loop_death = want.last_loop_death
+      && t.loops_started = List.length got.loops
+      && t.loops_resolved
+         = count (fun (l : Loopscan.Scanner.loop) -> l.death <> None)
+      && t.live_now = count (fun (l : Loopscan.Scanner.loop) -> l.death = None)
+      && Float.abs (t.total_loop_seconds -. agg.total_loop_seconds) <= 1e-9)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "loopscan"
@@ -337,6 +438,8 @@ let () =
           tc "rejects looped starting state" test_rejects_looped_start;
           tc "kill and re-form at one instant"
             test_change_killing_and_reforming_at_once;
+          tc "tie at one instant: finished loop first"
+            test_tie_finished_before_live;
         ] );
       ( "aggregate",
         [
@@ -350,6 +453,8 @@ let () =
           tc "figure-1 run classifies fully" test_causes_on_real_run;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_scanner_consistent_with_forwarder ]
-      );
+        [
+          QCheck_alcotest.to_alcotest prop_scanner_consistent_with_forwarder;
+          QCheck_alcotest.to_alcotest prop_tracker_matches_oracle;
+        ] );
     ]
