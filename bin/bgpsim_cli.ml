@@ -141,13 +141,25 @@ let seeds_arg =
     & info [ "seeds" ] ~docv:"N"
         ~doc:"Number of seeds to average over (seed, seed+1, ...).")
 
+(* One converter for every command's --jobs: a negative count is a
+   usage error. *)
+let jobs_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 0 -> Ok n
+    | Ok _ -> Error (`Msg "the number of jobs must be an integer >= 0")
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt jobs_conv 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains running the (spec, seed) batch in parallel; results \
-           are identical to --jobs 1 (default: sequential).")
+          "Worker domains running the (spec, seed) batch in parallel, >= 0 \
+           (0 and 1 run sequentially); results are identical to --jobs 1 \
+           (default: sequential).")
 
 let scenario_conv =
   let parse s =
@@ -314,18 +326,19 @@ let mesh_flag =
            per-prefix-tagged trace of the first seed.")
 
 (* One seed's run under its own bus and profile.  The bus is off unless
-   --trace or --counters is set, and the trace sink rides on the first
-   seed only.  Returns the run's result with its counter snapshot and
-   profile, for merging after the ordered gather. *)
-let with_seed_obs ~trace_file ~trace_format ~counters ~profile i run =
+   --trace or --counters is set, and the trace sink (opened before any
+   seed runs) rides on the first seed only.  Returns the run's result
+   with its counter snapshot and profile, for merging after the ordered
+   gather. *)
+let with_seed_obs ~trace ~counters ~profile i run =
   let regs = if counters then Some (Obs.Counters.create ()) else None in
   let obs =
-    match (trace_file, regs) with
+    match (trace, regs) with
     | None, None -> Obs.Bus.off
     | _ ->
         let sink =
-          match trace_file with
-          | Some path when i = 0 -> trace_sink path trace_format
+          match trace with
+          | Some sink when i = 0 -> sink
           | Some _ | None -> Obs.Sink.null
         in
         Obs.Bus.create ~sink ?counters:regs ()
@@ -453,6 +466,11 @@ let run_cmd =
       if mesh then { spec with event = Bgpsim.Experiment.Tdown } else spec
     in
     let seedl = seed_list ~seed ~seeds in
+    let trace =
+      Option.map
+        (fun p -> writing (fun () -> trace_sink p trace_format))
+        trace_file
+    in
     Format.printf "%s  event=%s  enhancement=%a  mrai=%gs  seeds=%d@."
       (Bgpsim.Experiment.topology_name topology)
       (if mesh then "mesh" else event_name spec.event)
@@ -460,9 +478,7 @@ let run_cmd =
     if preflight <> Analysis.Preflight.Off then
       Format.printf "@.%a@." Analysis.Preflight.pp
         (Bgpsim.Experiment.analyze spec);
-    let with_obs i run =
-      with_seed_obs ~trace_file ~trace_format ~counters ~profile i run
-    in
+    let with_obs i run = with_seed_obs ~trace ~counters ~profile i run in
     let completed =
       if mesh then run_mesh ~spec ~seeds:seedl ~with_obs
       else run_seeds ~spec ~seeds:seedl ~jobs ~with_obs
@@ -987,8 +1003,13 @@ let churn_cmd =
         (fun p -> writing (fun () -> trace_sink p trace_format))
         trace_file
     in
+    (* a checkpoint or trace write that fails mid-run (say, a
+       --checkpoint-dir that is a regular file) ends like a path that
+       cannot be opened *)
     let r =
-      try Churn.Driver.run ~watchdog ~on_epoch ?resume_from ?sink cfg
+      try
+        writing (fun () ->
+            Churn.Driver.run ~watchdog ~on_epoch ?resume_from ?sink cfg)
       with
       | Churn.Checkpoint.Incompatible_version _ as e ->
           Printf.eprintf "churn: %s\n" (Printexc.to_string e);
