@@ -40,21 +40,28 @@ let base_cfg ?(seed = 3) ?(n = 20) ?(epochs = 6) ?(flap_rate = 6.)
     ~epochs ?checkpoint_dir ~checkpoint_every ~compact_every
     ?kill_after_epoch ?stall_epochs ~graph ~origin:(origin_of graph) ()
 
-let temp_dir =
+(* [f] gets a fresh checkpoint directory, which is removed with its
+   files when [f] returns or raises. *)
+let with_temp_dir =
   let counter = ref 0 in
-  fun () ->
+  fun f ->
     incr counter;
     let path =
       Filename.concat
         (Filename.get_temp_dir_name ())
         (fmt "bgpsim-churn-test-%d-%d" (Unix.getpid ()) !counter)
     in
-    if Sys.file_exists path then
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat path f))
-        (Sys.readdir path)
-    else Sys.mkdir path 0o700;
-    path
+    let remove () =
+      if Sys.file_exists path then begin
+        Array.iter
+          (fun name -> Sys.remove (Filename.concat path name))
+          (Sys.readdir path);
+        Sys.rmdir path
+      end
+    in
+    remove ();
+    Sys.mkdir path 0o700;
+    Fun.protect ~finally:remove (fun () -> f path)
 
 let chain r =
   match r.Churn.Driver.chain_digest with
@@ -131,7 +138,8 @@ let test_workload_deterministic_and_paired () =
 (* --- checkpoint/resume equivalence (the golden-digest criterion) --- *)
 
 let test_resume_matches_uninterrupted () =
-  let dir_a = temp_dir () and dir_b = temp_dir () in
+  with_temp_dir @@ fun dir_a ->
+  with_temp_dir @@ fun dir_b ->
   let full =
     Churn.Driver.run (base_cfg ~epochs:7 ~checkpoint_dir:dir_a ())
   in
@@ -177,7 +185,7 @@ let test_resume_matches_uninterrupted () =
 let test_resume_from_every_checkpoint () =
   (* resuming from ANY boundary checkpoint of one run reproduces the
      same final chain *)
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let full =
     Churn.Driver.run
       (base_cfg ~epochs:6 ~checkpoint_dir:dir ~checkpoint_every:2 ())
@@ -200,7 +208,7 @@ let test_resume_from_every_checkpoint () =
     checkpoints
 
 let test_checkpoint_refuses_mismatch () =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let killed =
     Churn.Driver.run
       (base_cfg ~epochs:4 ~checkpoint_dir:dir ~kill_after_epoch:2 ())
@@ -264,7 +272,7 @@ let test_checkpoint_refuses_mismatch () =
   | exception Churn.Checkpoint.Corrupt _ -> ()
 
 let test_checkpoint_incompatible_version () =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let stale = Filename.concat dir "ckpt-000004.bin" in
   let oc = open_out_bin stale in
   output_string oc "bgpsim-churn-ckpt v1\nold marshalled payload";
@@ -337,7 +345,7 @@ let test_driver_sink_matches_digest_chain () =
    run so such a change cannot go unnoticed.  Re-record the md5 only
    together with a version bump. *)
 let test_checkpoint_bytes_pinned () =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   ignore
     (Churn.Driver.run
        (base_cfg ~epochs:4 ~checkpoint_dir:dir ~checkpoint_every:2 ())
@@ -348,7 +356,7 @@ let test_checkpoint_bytes_pinned () =
     (Digest.to_hex (Digest.file path))
 
 let test_checkpoint_latest () =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   ignore
     (Churn.Driver.run
        (base_cfg ~epochs:5 ~checkpoint_dir:dir ~checkpoint_every:2 ())
@@ -374,7 +382,7 @@ let test_stall_detection () =
 
 let test_wall_budget_graceful () =
   let wd = Faults.Watchdog.create ~clock:(fun () -> 0.) ~max_wall_s:0. () in
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let r = Churn.Driver.run ~watchdog:wd (base_cfg ~checkpoint_dir:dir ()) in
   Alcotest.(check bool) "wall expired" true
     (r.status = Churn.Driver.Wall_expired);
