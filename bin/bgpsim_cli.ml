@@ -1093,7 +1093,15 @@ let trace_cmd =
   let action topology event enhancement mrai seed dir =
     let spec = spec_of topology event enhancement mrai seed in
     writing (fun () -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
-    let run = Bgpsim.Experiment.run spec in
+    (* messages.csv is the run's Update_sent events; no other event is
+       kept *)
+    let sent = ref [] in
+    let sink =
+      Obs.Sink.fn (function
+        | Obs.Event.Update_sent _ as ev -> sent := ev :: !sent
+        | _ -> ())
+    in
+    let run = Bgpsim.Experiment.run ~obs:(Obs.Bus.create ~sink ()) spec in
     let write name text =
       let path = Filename.concat dir name in
       writing (fun () ->
@@ -1103,7 +1111,7 @@ let trace_cmd =
     let fib = Netcore.Trace.fib run.outcome.trace in
     let from = run.outcome.t_fail in
     write "fib_changes.csv" (Metrics.Export.fib_changes_csv fib ~from);
-    write "messages.csv" (Metrics.Export.sends_csv run.outcome.trace ~from);
+    write "messages.csv" (Metrics.Export.sends_csv (List.rev !sent) ~from);
     write "loops.csv"
       (Metrics.Export.loops_csv run.loops
          ~until:(run.outcome.convergence_end +. spec.replay_tail));

@@ -12,7 +12,15 @@ let () =
   Format.printf
     "T_down on a 110-node Internet-derived topology: dissecting every@.\
      individual transient loop.@.@.";
-  let run = Bgpsim.Experiment.run spec in
+  (* the trigger classification below reads which message each router
+     finished processing when: the run's Update_recv events *)
+  let recvs = ref [] in
+  let sink =
+    Obs.Sink.fn (function
+      | Obs.Event.Update_recv _ as ev -> recvs := ev :: !recvs
+      | _ -> ())
+  in
+  let run = Bgpsim.Experiment.run ~obs:(Obs.Bus.create ~sink ()) spec in
   let until = run.outcome.convergence_end +. spec.replay_tail in
   let agg = Loopscan.Scanner.aggregate run.loops ~until in
   Format.printf "%a@.@." Loopscan.Scanner.pp_aggregate agg;
@@ -43,7 +51,9 @@ let () =
   (* what triggered each loop: the node falling back after a withdrawal
      (the paper's Fig 1 mechanism), after an announcement, or after its
      own session died *)
-  let classified = Loopscan.Causes.classify ~trace:run.outcome.trace run.loops in
+  let classified =
+    Loopscan.Causes.classify ~events:(List.rev !recvs) run.loops
+  in
   Format.printf "@.%a@." Loopscan.Causes.pp_breakdown
     (Loopscan.Causes.breakdown classified);
   Format.printf "@.Longest-lived loops:@.";

@@ -6,10 +6,6 @@ let prefix = function
   | Announce { prefix; _ } -> prefix
   | Withdraw { prefix } -> prefix
 
-let kind = function
-  | Announce _ -> Netcore.Trace.Announce
-  | Withdraw _ -> Netcore.Trace.Withdraw
-
 let pp fmt = function
   | Announce { prefix; path } ->
       Format.fprintf fmt "announce %a %a" Prefix.pp prefix As_path.pp path

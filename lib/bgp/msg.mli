@@ -8,6 +8,4 @@ type t =
 
 val prefix : t -> Prefix.t
 
-val kind : t -> Netcore.Trace.msg_kind
-
 val pp : Format.formatter -> t -> unit

@@ -34,7 +34,6 @@ val create :
   ?invariants:Faults.Invariant.mode ->
   ?obs:Obs.Bus.t ->
   ?profile:Obs.Profile.t ->
-  ?trace:Netcore.Trace.t ->
   ?prefixes:Prefix.Table.t ->
   ?on_send:(Msg.t -> unit) ->
   engine:Dessim.Engine.t ->
@@ -56,10 +55,12 @@ val create :
     and minor words ({!Obs.Profile.step}); without it the engine keeps
     its profiler-free path.
 
-    With [trace], every send, completed processing and link transition
-    is logged into it.  With [prefixes], the speakers share that table
-    and tag their events with its dense ids, and so do the update events
-    sent here.  [on_send msg] runs for every message sent.
+    Every send, completed processing and link transition goes to [obs]
+    as an [Update_sent], [Update_recv] or [Link_state] event.  With
+    [prefixes], the speakers share that table and tag their events with
+    its dense ids, and so do the update events sent here.  [on_send msg]
+    runs for every message sent, at the engine's current time: the
+    scripts count convergence through it.
     @raise Invalid_argument on invalid params or config, or a
     disconnected graph. *)
 

@@ -54,22 +54,34 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
   let trace = Netcore.Trace.create ~n in
   let fib = Netcore.Trace.fib trace in
   let prefix = Prefix.make ~origin () in
-  if Obs.Bus.enabled obs then
-    Netcore.Fib_history.set_on_change fib
-      (fun { Netcore.Fib_history.time; node; next_hop } ->
-        Obs.Bus.fib_change obs ~time ~node ~next_hop);
+  (* the paper's convergence period ends with the last update sent at
+     or after the failure; counting starts once the warm-up has set
+     [t_fail] *)
+  let t_fail_ref = ref infinity
+  and last_send = ref neg_infinity
+  and updates = ref 0
+  and withdrawals = ref 0 in
+  let on_send (msg : Msg.t) =
+    let now = Dessim.Engine.now engine in
+    if now >= !t_fail_ref then begin
+      if now > !last_send then last_send := now;
+      match msg with
+      | Announce _ -> incr updates
+      | Withdraw _ -> incr withdrawals
+    end
+  in
   let root_rng = Dessim.Rng.create ~seed in
   let proc_rng = Dessim.Rng.split root_rng ~label:"proc" in
   let net =
-    Network.create ~params ~config ~invariants ~obs ?profile ~trace ~engine
+    Network.create ~params ~config ~invariants ~obs ?profile ~on_send ~engine
       ~graph
       ~origins:[ (origin, prefix) ] ~proc_rng
       ~speaker_rngs:(Network.speaker_rngs root_rng ~n)
       ~on_next_hop_change:(fun node ~prefix:p ~next_hop ->
         assert (Prefix.equal p prefix);
-        Netcore.Fib_history.record fib
-          ~time:(Dessim.Engine.now engine)
-          ~node ~next_hop)
+        let time = Dessim.Engine.now engine in
+        Netcore.Fib_history.record fib ~time ~node ~next_hop;
+        Obs.Bus.fib_change obs ~time ~node ~next_hop)
       ()
   in
   let speaker = Network.speaker net in
@@ -92,6 +104,7 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
   let warmup_end = Dessim.Engine.now engine in
   (* Phase 2: failure injection. *)
   let t_fail = warmup_end +. Network.failure_gap in
+  t_fail_ref := t_fail;
   let schedule_at at f =
     let (_ : Dessim.Engine.handle) =
       Dessim.Engine.schedule ~tag:"inject" engine ~at f
@@ -130,11 +143,6 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
         (Faults.Scenario.compile scenario ~graph ~rng:scenario_rng));
   let termination = run_phase () in
   Network.report_counters net;
-  let convergence_end =
-    match Netcore.Trace.last_send_at_or_after trace ~from:t_fail with
-    | Some time -> time
-    | None -> t_fail
-  in
   let route_changes =
     List.fold_left
       (fun total i -> total + Speaker.route_change_count (speaker i))
@@ -144,14 +152,12 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
     trace;
     prefix;
     t_fail;
-    convergence_end;
+    convergence_end = Float.max t_fail !last_send;
     converged = warmup = Drained && termination = Drained;
     termination;
     warmup_end;
-    updates_after_fail =
-      Netcore.Trace.count_kind_from trace ~from:t_fail ~kind:Announce;
-    withdrawals_after_fail =
-      Netcore.Trace.count_kind_from trace ~from:t_fail ~kind:Withdraw;
+    updates_after_fail = !updates;
+    withdrawals_after_fail = !withdrawals;
     events_executed = Dessim.Engine.events_executed engine;
     route_changes;
     paths_interned = As_path.Table.size (Network.paths net);

@@ -5,18 +5,29 @@ let cause_name = function
   | Announcement_triggered -> "announcement"
   | Session_triggered -> "session-event"
 
-let classify ~trace report =
+(* The last message [node] finished processing no later than [at], as
+   (time, withdraw); among equal times the later event wins, since its
+   processing completed last. *)
+let last_recv events ~node ~at =
+  List.fold_left
+    (fun last ev ->
+      match ev with
+      | Obs.Event.Update_recv { time; node = n; withdraw; _ }
+        when n = node && time <= at -> (
+          match last with
+          | Some (t, _) when time < t -> last
+          | Some _ | None -> Some (time, withdraw))
+      | _ -> last)
+    None events
+
+let classify ~events report =
   let cause_of (l : Scanner.loop) =
-    match
-      Netcore.Trace.last_process_at trace ~node:l.trigger ~at_or_before:l.birth
-    with
-    (* bgpsim-lint: allow D004 — identity check: both times come from the same trace record *)
-    | Some p when p.time = l.birth -> (
+    match last_recv events ~node:l.trigger ~at:l.birth with
+    (* bgpsim-lint: allow D004 — identity check: both times are the engine clock at one instant *)
+    | Some (time, withdraw) when time = l.birth ->
         (* the FIB change happened at the instant this message finished
            processing: it is the trigger *)
-        match p.kind with
-        | Netcore.Trace.Withdraw -> Withdrawal_triggered
-        | Netcore.Trace.Announce -> Announcement_triggered)
+        if withdraw then Withdrawal_triggered else Announcement_triggered
     | Some _ | None ->
         (* no message completed at the birth instant: the node reacted
            to a local event (its own session going down) *)

@@ -3,8 +3,8 @@
     A loop is born when its trigger node repoints its FIB; that
     repointing is the decision taken right after the node processed
     some routing message, or reacted to a local session event.
-    Correlating loop births with the trace's processed-message log
-    separates:
+    Correlating loop births with the run's [Update_recv] events (a
+    message finishing its processing at a node) separates:
 
     - withdrawal-triggered loops — the node lost its route and fell
       back to a stale path (the paper's Figure 1 mechanism);
@@ -21,8 +21,12 @@ type cause = Withdrawal_triggered | Announcement_triggered | Session_triggered
 val cause_name : cause -> string
 
 val classify :
-  trace:Netcore.Trace.t -> Scanner.report -> (Scanner.loop * cause) list
-(** One entry per loop, in the report's order. *)
+  events:Obs.Event.t list -> Scanner.report -> (Scanner.loop * cause) list
+(** One entry per loop, in the report's order.  [events] is the run's
+    event stream in emit order; only its [Update_recv] events are read.
+    A loop's cause is the message its trigger node finished processing
+    at the loop's birth instant (the later one when several did); with
+    none, the loop is session-triggered. *)
 
 type breakdown = {
   withdrawal_triggered : int;

@@ -7,8 +7,10 @@
 val fib_changes_csv : Netcore.Fib_history.t -> from:float -> string
 (** Columns: [time,node,next_hop] ([next_hop] empty for "no route"). *)
 
-val sends_csv : Netcore.Trace.t -> from:float -> string
-(** Columns: [time,src,dst,kind]. *)
+val sends_csv : Obs.Event.t list -> from:float -> string
+(** The [Update_sent] events with [time >= from], in emit order; other
+    events are skipped.  Columns: [time,src,dst,kind] ([kind] is
+    [announce] or [withdraw]). *)
 
 val loops_csv : Loopscan.Scanner.report -> until:float -> string
 (** Columns: [birth,death,duration,size,trigger,members] ([death] empty

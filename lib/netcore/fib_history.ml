@@ -4,7 +4,6 @@ type t = {
   n : int;
   per_node : (float * int option) Dessim.Vec.t array;
   global : change Dessim.Vec.t;
-  mutable on_change : (change -> unit) option;
 }
 
 let create ~n =
@@ -13,10 +12,7 @@ let create ~n =
     n;
     per_node = Array.init n (fun _ -> Dessim.Vec.create ());
     global = Dessim.Vec.create ();
-    on_change = None;
   }
-
-let set_on_change t f = t.on_change <- Some f
 
 let n_nodes t = t.n
 
@@ -46,9 +42,7 @@ let record t ~time ~node ~next_hop =
   | Some _ | None -> ());
   if current t node <> next_hop then begin
     Dessim.Vec.push t.per_node.(node) (time, next_hop);
-    let change = { time; node; next_hop } in
-    Dessim.Vec.push t.global change;
-    match t.on_change with None -> () | Some f -> f change
+    Dessim.Vec.push t.global { time; node; next_hop }
   end
 
 (* Largest index whose change time satisfies [le_pred]; -1 if none. *)

@@ -35,12 +35,6 @@ val changes_from : t -> from:float -> change list
 (** All changes with [time >= from], in chronological (and for equal
     times, recording) order. *)
 
-val set_on_change : t -> (change -> unit) -> unit
-(** Installs a callback invoked once per recorded change, after it is
-    appended — so the number of invocations always equals
-    [change_count] by construction.  Used by the trace bus to emit
-    [Fib_change] events. *)
-
 val change_count : t -> int
 
 val last_change_time : t -> float option

@@ -1,135 +1,5 @@
-type msg_kind = Announce | Withdraw
+type t = Fib_history.t
 
-type send = { time : float; src : int; dst : int; kind : msg_kind }
+let create ~n = Fib_history.create ~n
 
-type link_event = { time : float; a : int; b : int; up : bool }
-
-type process = { time : float; node : int; from : int; kind : msg_kind }
-
-(* The send and process logs grow by one entry per routing message — at
-   simulation scale they are the trace's hot path.  Each stream is a
-   column store: times in a flat float array (unboxed) and the two node
-   ids plus the message kind packed into one int per entry, so logging
-   allocates nothing (amortized growth aside).  Records only
-   materialize in the accessors, which run once per analysis, not once
-   per message. *)
-
-type log = {
-  mutable times : float array;
-  mutable meta : int array;  (* (fst lsl 31) lor (snd lsl 1) lor kind-bit *)
-  mutable size : int;
-}
-
-let log_create () = { times = [||]; meta = [||]; size = 0 }
-
-let log_push log time meta =
-  let cap = Array.length log.meta in
-  if log.size >= cap then begin
-    let ncap = Stdlib.max 64 (2 * cap) in
-    let times = Array.make ncap 0. and m = Array.make ncap 0 in
-    Array.blit log.times 0 times 0 log.size;
-    Array.blit log.meta 0 m 0 log.size;
-    log.times <- times;
-    log.meta <- m
-  end;
-  Array.unsafe_set log.times log.size time;
-  Array.unsafe_set log.meta log.size meta;
-  log.size <- log.size + 1
-
-let pack a b kind =
-  (a lsl 31) lor (b lsl 1)
-  lor (match kind with Announce -> 0 | Withdraw -> 1)
-
-let meta_fst m = m lsr 31
-let meta_snd m = (m lsr 1) land 0x3fff_ffff
-let meta_kind m = if m land 1 = 0 then Announce else Withdraw
-
-type t = {
-  fib : Fib_history.t;
-  sends : log;
-  links : link_event Dessim.Vec.t;
-  procs : log;
-}
-
-let create ~n =
-  {
-    fib = Fib_history.create ~n;
-    sends = log_create ();
-    links = Dessim.Vec.create ();
-    procs = log_create ();
-  }
-
-let fib t = t.fib
-
-let log_send t ~time ~src ~dst ~kind = log_push t.sends time (pack src dst kind)
-
-let log_link_event t ~time ~a ~b ~up =
-  Dessim.Vec.push t.links { time; a; b; up }
-
-let send_of t i =
-  let m = t.sends.meta.(i) in
-  {
-    time = t.sends.times.(i);
-    src = meta_fst m;
-    dst = meta_snd m;
-    kind = meta_kind m;
-  }
-
-let sends t = List.init t.sends.size (send_of t)
-
-let sends_from t ~from =
-  List.filter (fun (s : send) -> s.time >= from) (sends t)
-
-let send_count_from t ~from =
-  let acc = ref 0 in
-  for i = 0 to t.sends.size - 1 do
-    if t.sends.times.(i) >= from then incr acc
-  done;
-  !acc
-
-let count_kind_from t ~from ~kind =
-  let bit = match kind with Announce -> 0 | Withdraw -> 1 in
-  let acc = ref 0 in
-  for i = 0 to t.sends.size - 1 do
-    if t.sends.times.(i) >= from && t.sends.meta.(i) land 1 = bit then incr acc
-  done;
-  !acc
-
-let last_send_at_or_after t ~from =
-  let best = ref nan in
-  for i = 0 to t.sends.size - 1 do
-    let time = t.sends.times.(i) in
-    if time >= from && not (time <= !best) then best := time
-  done;
-  if Float.is_nan !best then None else Some !best
-
-let link_events t = Dessim.Vec.to_list t.links
-
-let log_process t ~time ~node ~from ~kind =
-  log_push t.procs time (pack node from kind)
-
-let process_of t i =
-  let m = t.procs.meta.(i) in
-  {
-    time = t.procs.times.(i);
-    node = meta_fst m;
-    from = meta_snd m;
-    kind = meta_kind m;
-  }
-
-let last_process_at t ~node ~at_or_before =
-  (* among equal times keep the later log entry: it is the one whose
-     processing completed last *)
-  let best = ref (-1) and best_time = ref neg_infinity in
-  for i = 0 to t.procs.size - 1 do
-    let time = t.procs.times.(i) in
-    if meta_fst t.procs.meta.(i) = node && time <= at_or_before
-       && time >= !best_time
-    then begin
-      best := i;
-      best_time := time
-    end
-  done;
-  if !best < 0 then None else Some (process_of t !best)
-
-let processes t = List.init t.procs.size (process_of t)
+let fib t = t

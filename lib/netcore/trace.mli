@@ -1,53 +1,14 @@
-(** Run trace: everything the measurement stages need from a routing
-    simulation — the FIB history plus logs of routing-message sends and
-    link events.
+(** Run trace: what a routing simulation leaves for the measurement
+    stages — its FIB history, which the forwarding replay and the loop
+    scanner read.
 
-    Convergence time in the paper "starts when the link failure happens
-    and ends when the last BGP update message is sent"; {!last_send_at_or_after}
-    supports exactly that measurement. *)
-
-type msg_kind = Announce | Withdraw
-
-type send = { time : float; src : int; dst : int; kind : msg_kind }
-
-type process = { time : float; node : int; from : int; kind : msg_kind }
-(** A routing message finishing its processing at [node] (this is when
-    it takes effect on the RIB/FIB). *)
-
-type link_event = { time : float; a : int; b : int; up : bool }
+    Messages and link transitions are not kept here: they are the
+    [Update_sent], [Update_recv] and [Link_state] events of the run's
+    {!Obs.Bus.t}, and the convergence instant is counted through the
+    network's send hook as the run goes. *)
 
 type t
 
 val create : n:int -> t
 
 val fib : t -> Fib_history.t
-
-val log_send : t -> time:float -> src:int -> dst:int -> kind:msg_kind -> unit
-
-val log_link_event : t -> time:float -> a:int -> b:int -> up:bool -> unit
-
-val log_process :
-  t -> time:float -> node:int -> from:int -> kind:msg_kind -> unit
-
-val sends : t -> send list
-(** Chronological. *)
-
-val sends_from : t -> from:float -> send list
-
-val send_count_from : t -> from:float -> int
-
-val count_kind_from : t -> from:float -> kind:msg_kind -> int
-
-val last_send_at_or_after : t -> from:float -> float option
-(** Time of the last message sent at or after [from] — the end of the
-    convergence period when the simulation has drained. *)
-
-val link_events : t -> link_event list
-
-val processes : t -> process list
-(** Chronological. *)
-
-val last_process_at : t -> node:int -> at_or_before:float -> process option
-(** The most recent message that finished processing at [node] no later
-    than [at_or_before] — the trigger candidate for a routing change at
-    that instant. *)

@@ -158,11 +158,6 @@ let test_prefix () =
 
 let test_msg_kinds () =
   let prefix = Bgp.Prefix.make ~origin:0 () in
-  Alcotest.(check bool) "announce" true
-    (Bgp.Msg.kind (Bgp.Msg.Announce { prefix; path = path [ 1; 0 ] })
-    = Netcore.Trace.Announce);
-  Alcotest.(check bool) "withdraw" true
-    (Bgp.Msg.kind (Bgp.Msg.Withdraw { prefix }) = Netcore.Trace.Withdraw);
   Alcotest.(check bool) "prefix" true
     (Bgp.Prefix.equal (Bgp.Msg.prefix (Bgp.Msg.Withdraw { prefix })) prefix)
 

@@ -262,13 +262,17 @@ let test_causes_classification () =
         (* no message at 18: session-triggered *)
       ]
   in
-  let trace = Netcore.Trace.create ~n:4 in
-  Netcore.Trace.log_process trace ~time:10. ~node:1 ~from:0
-    ~kind:Netcore.Trace.Withdraw;
-  Netcore.Trace.log_process trace ~time:14. ~node:1 ~from:2
-    ~kind:Netcore.Trace.Announce;
+  let recv ~time ~from ~withdraw =
+    Obs.Event.Update_recv { time; node = 1; from; withdraw; prefix = None }
+  in
+  let events =
+    [
+      recv ~time:10. ~from:0 ~withdraw:true;
+      recv ~time:14. ~from:2 ~withdraw:false;
+    ]
+  in
   let report = Loopscan.Scanner.scan ~fib ~origin:0 ~from:5. () in
-  let classified = Loopscan.Causes.classify ~trace report in
+  let classified = Loopscan.Causes.classify ~events report in
   let causes = List.map snd classified in
   Alcotest.(check (list string))
     "causes in birth order"
@@ -286,8 +290,9 @@ let test_causes_on_real_run () =
     Topo.Graph.create ~n:7
       ~edges:[ (0, 4); (4, 5); (4, 6); (5, 6); (6, 3); (3, 2); (2, 1); (1, 0) ]
   in
+  let sink, events = Obs.Sink.memory () in
   let o =
-    Bgp.Routing_sim.run ~graph ~origin:0
+    Bgp.Routing_sim.run ~obs:(Obs.Bus.create ~sink ()) ~graph ~origin:0
       ~event:(Bgp.Routing_sim.Tlong { a = 0; b = 4 })
       ~seed:1 ()
   in
@@ -295,7 +300,7 @@ let test_causes_on_real_run () =
     Loopscan.Scanner.scan ~fib:(Netcore.Trace.fib o.trace) ~origin:0
       ~from:o.t_fail ()
   in
-  let classified = Loopscan.Causes.classify ~trace:o.trace report in
+  let classified = Loopscan.Causes.classify ~events:(events ()) report in
   let b = Loopscan.Causes.breakdown classified in
   Alcotest.(check bool) "loops were found" true (report.loops <> []);
   Alcotest.(check int) "every loop has a message trigger"

@@ -144,31 +144,6 @@ let prop_fib_lookup_matches_reference =
           Netcore.Fib_history.lookup fib ~node:0 ~time:t = reference t)
         [ 0.; 10.; 25.; 50.; 75.; 99.; 100.; 200. ])
 
-(* --- Trace --- *)
-
-let test_trace_send_log () =
-  let trace = Netcore.Trace.create ~n:3 in
-  Netcore.Trace.log_send trace ~time:1. ~src:0 ~dst:1 ~kind:Netcore.Trace.Announce;
-  Netcore.Trace.log_send trace ~time:2. ~src:1 ~dst:2 ~kind:Netcore.Trace.Withdraw;
-  Netcore.Trace.log_send trace ~time:3. ~src:2 ~dst:0 ~kind:Netcore.Trace.Announce;
-  Alcotest.(check int) "all" 3 (Netcore.Trace.send_count_from trace ~from:0.);
-  Alcotest.(check int) "from 2" 2 (Netcore.Trace.send_count_from trace ~from:2.);
-  Alcotest.(check int) "announces from 2" 1
-    (Netcore.Trace.count_kind_from trace ~from:2. ~kind:Netcore.Trace.Announce);
-  Alcotest.(check bool) "last send" true
-    (Netcore.Trace.last_send_at_or_after trace ~from:0. = Some 3.);
-  Alcotest.(check bool) "none after 5" true
-    (Netcore.Trace.last_send_at_or_after trace ~from:5. = None)
-
-let test_trace_link_events () =
-  let trace = Netcore.Trace.create ~n:2 in
-  Netcore.Trace.log_link_event trace ~time:1. ~a:0 ~b:1 ~up:false;
-  match Netcore.Trace.link_events trace with
-  | [ e ] ->
-      Alcotest.(check bool) "down" false e.Netcore.Trace.up;
-      Alcotest.(check (float 0.)) "time" 1. e.Netcore.Trace.time
-  | _ -> Alcotest.fail "expected one event"
-
 (* --- Link --- *)
 
 let test_link_delivers_with_delay () =
@@ -509,11 +484,6 @@ let () =
           tc "changes_from" test_fib_changes_from;
           tc "equal-time order kept" test_fib_equal_time_changes_keep_order;
           QCheck_alcotest.to_alcotest prop_fib_lookup_matches_reference;
-        ] );
-      ( "trace",
-        [
-          tc "send log and counts" test_trace_send_log;
-          tc "link events" test_trace_link_events;
         ] );
       ( "link",
         [

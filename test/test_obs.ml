@@ -6,7 +6,8 @@
      (chaos-free scenarios only: message duplication would deliberately
      break the correspondence);
    - the number of Fib_change events equals the FIB history's
-     change_count (wired through Fib_history.set_on_change);
+     change_count (each simulator's FIB hook records the change, then
+     emits the event);
    - counter snapshots taken at increasing times are monotone under
      Counters.le. *)
 
