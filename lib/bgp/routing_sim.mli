@@ -12,10 +12,12 @@
       simulation runs to quiescence.
 
     The run is a script over {!Network}.  The outcome carries the
-    {!Netcore.Trace.t} (FIB history + message log) that the forwarding
-    replay and loop analysis consume, and the paper's convergence
-    measurement: convergence starts at the failure and ends when the
-    last BGP update message is sent. *)
+    {!Netcore.Trace.t} (the FIB history) that the forwarding replay and
+    loop analysis consume, and the paper's convergence measurement:
+    convergence starts at the failure and ends when the last BGP update
+    message is sent.  The run counts those sends through the network's
+    [on_send] hook as they happen; the messages themselves are recorded
+    only as [obs] events. *)
 
 type event =
   | Tdown  (** the destination AS withdraws its prefix *)
@@ -66,7 +68,7 @@ type outcome = {
   termination : termination;  (** how phase 2 ended *)
   warmup_end : float;
   updates_after_fail : int;  (** announcements sent at/after [t_fail] *)
-  withdrawals_after_fail : int;
+  withdrawals_after_fail : int;  (** withdrawals sent at/after [t_fail] *)
   events_executed : int;
   route_changes : int;  (** total best-route changes across all speakers *)
   paths_interned : int;
