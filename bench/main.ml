@@ -5,11 +5,13 @@
 
      dune exec bench/main.exe                         # every group
      dune exec bench/main.exe -- damping              # one group
-     dune exec bench/main.exe -- --jobs 4 counters    # runs on 4 worker domains
+     dune exec bench/main.exe -- --jobs 4 counters    # runs on 4 domains
 
-   The counters group runs its (fixture, seed) batch through a
-   Parallel domain pool; results are identical to a sequential run by
-   construction (see DESIGN.md §"Performance"). *)
+   The counters group runs its (fixture, seed) batch through
+   Parallel.run on --jobs domains, the calling one included (default
+   1); results are identical to a sequential run by construction
+   (DESIGN.md §9).  An unknown group name exits 2 before any group
+   runs. *)
 
 open Bgpsim
 
@@ -389,7 +391,7 @@ let interference () =
 
 (* --- observability counter registries (DESIGN.md §10) --- *)
 
-let counters_group ~pool =
+let counters_group ~jobs =
   say "=== Counters: observability registries over the golden fixtures ===@.";
   say
     "Each run carries a counters-only bus (no sink, so no event values@,\
@@ -404,13 +406,14 @@ let counters_group ~pool =
       Golden.fixtures
   in
   let results =
-    Parallel.map ~pool
-      (fun (name, spec) ->
-        let c = Obs.Counters.create () in
-        let obs = Obs.Bus.create ~counters:c () in
-        ignore (Experiment.run ~obs spec : Experiment.run);
-        (name, Obs.Counters.snapshot c))
-      batch
+    Parallel.run ~jobs
+      (List.map
+         (fun (name, spec) () ->
+           let c = Obs.Counters.create () in
+           let obs = Obs.Bus.create ~counters:c () in
+           ignore (Experiment.run ~obs spec : Experiment.run);
+           (name, Obs.Counters.snapshot c))
+         batch)
     |> List.filter_map (function Ok r -> Some r | Error _ -> None)
   in
   let merged name =
@@ -464,10 +467,10 @@ let counters_group ~pool =
 
 let groups =
   [
-    ("ablations", fun ~pool:_ -> ablations ());
-    ("provenance", fun ~pool:_ -> provenance ());
-    ("damping", fun ~pool:_ -> damping ());
-    ("interference", fun ~pool:_ -> interference ());
+    ("ablations", fun ~jobs:_ -> ablations ());
+    ("provenance", fun ~jobs:_ -> provenance ());
+    ("damping", fun ~jobs:_ -> damping ());
+    ("interference", fun ~jobs:_ -> interference ());
     ("counters", counters_group);
   ]
 
@@ -477,35 +480,36 @@ let () =
     | [] -> (List.rev names, jobs)
     | "--jobs" :: v :: rest -> (
         match int_of_string_opt v with
-        | Some j when j >= 1 -> parse names (Some j) rest
+        | Some j when j >= 0 -> parse names j rest
         | _ ->
-            Format.eprintf "--jobs expects a positive integer, got %S@." v;
+            Format.eprintf "--jobs expects an integer >= 0, got %S@." v;
             exit 2)
     | [ "--jobs" ] ->
         Format.eprintf "missing value for --jobs@.";
         exit 2
     | name :: rest -> parse (name :: names) jobs rest
   in
-  let requested, jobs = parse [] None args in
+  let requested, jobs = parse [] 1 args in
   let requested =
     List.concat_map
       (function "all" -> List.map fst groups | name -> [ name ])
       (if requested = [] then [ "all" ] else requested)
   in
-  let pool = Parallel.create ?jobs () in
+  (match
+     List.filter (fun name -> not (List.mem_assoc name groups)) requested
+   with
+  | [] -> ()
+  | unknown ->
+      Format.eprintf "unknown bench group(s) %s (known: %s, all)@."
+        (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+        (String.concat ", " (List.map fst groups));
+      exit 2);
   say "sweep pool: %d worker(s) (host recommends %d domains)@."
-    (Parallel.jobs pool)
+    (Stdlib.max 1 jobs)
     (Domain.recommended_domain_count ());
   List.iter
     (fun name ->
-      match List.assoc_opt name groups with
-      | Some run ->
-          let t0 = Unix.gettimeofday () in
-          run ~pool;
-          say "[%s] %.2f s wall@." name (Unix.gettimeofday () -. t0)
-      | None ->
-          Format.eprintf "unknown bench group %S (known: %s, all)@."
-            name
-            (String.concat ", " (List.map fst groups)))
-    requested;
-  Parallel.shutdown pool
+      let t0 = Unix.gettimeofday () in
+      (List.assoc name groups) ~jobs;
+      say "[%s] %.2f s wall@." name (Unix.gettimeofday () -. t0))
+    requested

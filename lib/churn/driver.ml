@@ -45,15 +45,18 @@ type cfg = {
   compact_every : int;
   digest : bool;
   stall_epochs : int option;
-  max_epoch_events : int;
   kill_after_epoch : int option;
 }
+
+(* Hang protection within one epoch: a phase that runs past this many
+   engine events ends the run with [Event_limit]. *)
+let max_epoch_events = 50_000_000
 
 let make ?(seed = 1) ?(bgp = Bgp.Config.default)
     ?(params = Netcore.Params.default) ?(workload = Workload.make ())
     ?(epochs = 10) ?target_events ?checkpoint_dir ?(checkpoint_every = 4)
-    ?(compact_every = 8) ?(digest = true) ?stall_epochs
-    ?(max_epoch_events = 50_000_000) ?kill_after_epoch ~graph ~origin () =
+    ?(compact_every = 8) ?(digest = true) ?stall_epochs ?kill_after_epoch
+    ~graph ~origin () =
   {
     graph;
     origin;
@@ -68,7 +71,6 @@ let make ?(seed = 1) ?(bgp = Bgp.Config.default)
     compact_every;
     digest;
     stall_epochs;
-    max_epoch_events;
     kill_after_epoch;
   }
 
@@ -141,8 +143,6 @@ let validate cfg =
     invalid_arg "Churn.Driver: checkpoint_every must be positive";
   if cfg.compact_every <= 0 then
     invalid_arg "Churn.Driver: compact_every must be positive";
-  if cfg.max_epoch_events <= 0 then
-    invalid_arg "Churn.Driver: max_epoch_events must be positive";
   (match cfg.stall_epochs with
   | Some s when s <= 0 ->
       invalid_arg "Churn.Driver: stall_epochs must be positive"
@@ -247,8 +247,8 @@ let run ?(watchdog = Faults.Watchdog.unlimited) ?on_epoch ?resume_from ?sink
      drained, else the terminal status --- *)
   let drain ~epoch_base =
     let cap =
-      if cfg.max_epoch_events > max_int - epoch_base then max_int
-      else epoch_base + cfg.max_epoch_events
+      if max_epoch_events > max_int - epoch_base then max_int
+      else epoch_base + max_epoch_events
     in
     match Bgp.Network.run_phase ~watchdog net ~max_events:cap with
     | Bgp.Network.Drained -> None

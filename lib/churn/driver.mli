@@ -41,7 +41,8 @@ type status =
   | Stalled of { idle_epochs : int }
       (** [stall_epochs] consecutive epochs without a FIB change *)
   | Wall_expired  (** the watchdog budget ran out *)
-  | Event_limit  (** one epoch exceeded [max_epoch_events] *)
+  | Event_limit
+      (** one epoch ran past 50 M engine events (hang protection) *)
   | Killed of { after_epoch : int }
       (** [kill_after_epoch] fired (deterministic kill for the
           resume tests); the boundary checkpoint was written *)
@@ -67,7 +68,6 @@ type cfg = {
       (** fold every trace event into the per-epoch digest chain;
           turn off for throughput benchmarks *)
   stall_epochs : int option;
-  max_epoch_events : int;  (** hang protection within one epoch *)
   kill_after_epoch : int option;
 }
 
@@ -83,7 +83,6 @@ val make :
   ?compact_every:int ->
   ?digest:bool ->
   ?stall_epochs:int ->
-  ?max_epoch_events:int ->
   ?kill_after_epoch:int ->
   graph:Topo.Graph.t ->
   origin:int ->
@@ -91,7 +90,7 @@ val make :
   cfg
 (** Defaults: seed 1, default BGP config and paper parameters, default
     workload, 10 epochs, checkpoint every 4, compact every 8, digest
-    on, no stall limit, 50 M events per epoch, no kill. *)
+    on, no stall limit, no kill. *)
 
 val fingerprint : cfg -> string
 (** Hex digest of everything that shapes the trace (graph, origin,

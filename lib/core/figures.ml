@@ -212,7 +212,7 @@ let groups =
 
 let names = List.sort compare (List.concat_map (fun (ns, _, _) -> ns) groups)
 
-let run ~pool ?dir wanted =
+let run ~jobs ?dir wanted =
   List.iter
     (fun n ->
       if not (List.mem n names) then
@@ -226,7 +226,7 @@ let run ~pool ?dir wanted =
       if wanted = [] || List.exists (fun n -> List.mem n wanted) ns then begin
         let results =
           List.map
-            (fun s -> (s, Sweep.series ~pool ~make:s.make ~seeds:s.seeds s.xs))
+            (fun s -> (s, Sweep.series ~jobs ~make:s.make ~seeds:s.seeds s.xs))
             series
         in
         print (fun s -> List.assq s results);

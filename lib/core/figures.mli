@@ -10,10 +10,11 @@
 val names : string list
 (** The group names and their aliases, sorted: ["fig4"] to ["fig9"]. *)
 
-val run : pool:Parallel.t -> ?dir:string -> string list -> unit
-(** [run ~pool names] runs each group named in [names] (every group when
-    [names] is empty) once, in figure order, through [pool], and prints
-    its tables on standard output.  With [dir], it also writes each of
+val run : jobs:int -> ?dir:string -> string list -> unit
+(** [run ~jobs names] runs each group named in [names] (every group when
+    [names] is empty) once, in figure order, each series on [jobs]
+    domains ({!Sweep.series}), and prints its tables on standard
+    output.  With [dir], it also writes each of
     the group's series as {!Metrics.Export.series_csv} into [dir]
     (created if absent), one ["wrote PATH"] line per file.
     @raise Invalid_argument on a name not in {!names}.

@@ -1,56 +1,20 @@
-(** Deterministic multicore executor for sweep batches.
+(** Run a batch of independent thunks on several domains.
 
-    A fixed pool of worker domains drains a queue of independent run
-    thunks; results are gathered in submission order, so a parallel
-    sweep is bit-identical to its sequential counterpart as long as
-    each thunk owns its state (every {!Experiment.run} builds its own
-    engine and seeded RNG streams, so this holds by construction).
+    Results are gathered in submission order, so a parallel batch is
+    bit-identical to its sequential counterpart as long as each thunk
+    owns its state (every {!Experiment.run} builds its own engine and
+    seeded RNG streams, so this holds by construction; DESIGN.md §9).
 
     Exceptions are isolated per thunk: one failing run surfaces as its
-    own [Error] without poisoning the batch or killing a worker, which
-    is what {!Sweep.over_seeds_robust} needs to keep its semantics
-    under parallelism. *)
+    own [Error] without poisoning the batch, which is what
+    {!Sweep.over_seeds_robust} needs to keep its semantics under
+    parallelism. *)
 
-type t
-(** A pool of worker domains.  A pool with fewer than two workers runs
-    everything sequentially in the calling domain. *)
-
-exception Rng_hygiene of string
-(** Raised (as a per-run [Error]) when {!create} was given
-    [~check_rng_hygiene:true] and a run advanced the domain's global
-    [Random] state instead of using its own seeded stream — global
-    draws are scheduling-dependent and would break run-for-run
-    determinism. *)
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count () - 1], at least 1: leave one
-    core for the submitting domain. *)
-
-val create : ?jobs:int -> ?check_rng_hygiene:bool -> unit -> t
-(** A pool with [jobs] workers (default {!default_jobs}).  [jobs <= 1]
-    spawns no domains at all.  [check_rng_hygiene] (default [false])
-    snapshots the global [Random] state around every run and turns a
-    detected draw into a {!Rng_hygiene} error for that run.
+val run : jobs:int -> (unit -> 'a) list -> ('a, exn) result list
+(** [run ~jobs thunks] runs every thunk on [min jobs n] domains, the
+    calling one included ([n] thunks): it starts [min jobs n - 1]
+    domains, which take thunks from one shared counter with the
+    caller, and joins them before it returns.  The outcomes come back
+    in submission order.  With [jobs <= 1], or a single thunk, the
+    thunks run in order in the calling domain and no domain starts.
     @raise Invalid_argument if [jobs < 0]. *)
-
-val jobs : t -> int
-(** Worker count the pool was created with (1 = sequential). *)
-
-val run : t -> (unit -> 'a) list -> ('a, exn) result list
-(** Execute every thunk, concurrently when the pool has workers, and
-    return the outcomes in submission order.  Blocks until the whole
-    batch is done.  @raise Invalid_argument on a shut-down pool. *)
-
-val shutdown : t -> unit
-(** Join every worker domain.  Idempotent; safe to call even when a
-    run raised.  The pool cannot be reused afterwards. *)
-
-val with_pool :
-  ?jobs:int -> ?check_rng_hygiene:bool -> (t -> 'a) -> 'a
-(** [create], apply, then [shutdown] (also on exception). *)
-
-val map :
-  ?pool:t -> ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-(** Convenience: run [f] over the list through [pool] if given, else
-    through a temporary pool with [jobs] workers (default
-    {!default_jobs}), else sequentially when [jobs <= 1]. *)

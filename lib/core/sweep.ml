@@ -1,52 +1,3 @@
-type dispatch =
-  | Sequential
-  | Pool of { jobs : int }
-  | Probed_pool of { jobs : int; probe_s : float }
-  | Probed_sequential of { probe_s : float }
-
-let dispatch_overhead_s = 1e-3
-
-(* Every sweep bottoms out in [run_batch]: one thunk per (spec, seed)
-   pair, executed through a caller-supplied pool, a temporary pool of
-   [jobs] workers, or sequentially — always gathered in submission
-   order, so the parallel paths are observationally identical to the
-   sequential one (each run builds its own engine and seeded RNG
-   streams; only the host wall clock differs).
-
-   The [?jobs] path probes before it pays: spawning a temporary pool
-   costs domain startup per worker, which dwarfs a sub-millisecond run.
-   The first thunk runs in the calling domain under a wall-clock timer;
-   only when it proves expensive enough is a pool spun up for the rest.
-   Either way results keep submission order, so the fallback is
-   invisible except to the wall clock (and [?on_dispatch]). *)
-let run_batch ?on_dispatch ?pool ?jobs thunks =
-  let seq thunks = List.map (fun f -> try Ok (f ()) with exn -> Error exn) thunks in
-  let notify d = match on_dispatch with None -> () | Some f -> f d in
-  match (pool, jobs) with
-  | Some p, _ ->
-      notify (Pool { jobs = Parallel.jobs p });
-      Parallel.run p thunks
-  | None, Some j when j > 1 -> (
-      match thunks with
-      | [] -> []
-      | first :: rest -> (
-          let t0 = Unix.gettimeofday () in
-          let r1 = (try Ok (first ()) with exn -> Error exn) in
-          let probe_s = Unix.gettimeofday () -. t0 in
-          match rest with
-          | [] ->
-              notify (Probed_sequential { probe_s });
-              [ r1 ]
-          | _ :: _ when probe_s < dispatch_overhead_s ->
-              notify (Probed_sequential { probe_s });
-              r1 :: seq rest
-          | _ :: _ ->
-              notify (Probed_pool { jobs = j; probe_s });
-              r1 :: Parallel.with_pool ~jobs:j (fun p -> Parallel.run p rest)))
-  | None, _ ->
-      notify Sequential;
-      seq thunks
-
 let reraise = function Ok v -> v | Error exn -> raise exn
 
 (* [chunk k xs] splits [xs] into consecutive groups of [k] — the
@@ -68,17 +19,17 @@ let chunk k xs =
   in
   go [] xs
 
-let over_seeds ?on_dispatch ?pool ?jobs spec ~seeds =
+let over_seeds ?(jobs = 1) spec ~seeds =
   if seeds = [] then invalid_arg "Sweep.over_seeds: empty seed list";
-  run_batch ?on_dispatch ?pool ?jobs
+  Parallel.run ~jobs
     (List.map (fun seed () -> Experiment.metrics { spec with seed }) seeds)
   |> List.map reraise
   |> Metrics.Run_metrics.mean
 
-let series ?on_dispatch ?pool ?jobs ~make ~seeds xs =
+let series ?(jobs = 1) ~make ~seeds xs =
   if seeds = [] then invalid_arg "Sweep.series: empty seed list";
-  (* flatten the (x, seed) cross product so a pool sees every run at
-     once instead of one x's seeds at a time *)
+  (* flatten the (x, seed) cross product so the domains see every run
+     at once instead of one x's seeds at a time *)
   let runs =
     List.concat_map
       (fun x ->
@@ -87,20 +38,10 @@ let series ?on_dispatch ?pool ?jobs ~make ~seeds xs =
           seeds)
       xs
   in
-  run_batch ?on_dispatch ?pool ?jobs runs
+  Parallel.run ~jobs runs
   |> List.map reraise
   |> chunk (List.length seeds)
   |> List.map2 (fun x ms -> (x, Metrics.Run_metrics.mean ms)) xs
-
-let default_seeds = [ 1; 2; 3; 4; 5 ]
-
-let over_seeds_summary ?on_dispatch ?pool ?jobs spec ~seeds ~metric =
-  if seeds = [] then invalid_arg "Sweep.over_seeds_summary: empty seed list";
-  run_batch ?on_dispatch ?pool ?jobs
-    (List.map (fun seed () -> metric (Experiment.metrics { spec with seed })) seeds)
-  |> List.map reraise
-  |> Array.of_list
-  |> Stats.Descriptive.summarize
 
 let linearity points ~x ~y =
   Stats.Linear_fit.fit
@@ -169,16 +110,16 @@ let robust_thunks spec ~seeds =
       (Experiment.run { spec with Experiment.seed }).Experiment.metrics)
     seeds
 
-let over_seeds_robust ?on_dispatch ?pool ?jobs spec ~seeds =
+let over_seeds_robust ?(jobs = 1) spec ~seeds =
   if seeds = [] then invalid_arg "Sweep.over_seeds_robust: empty seed list";
-  run_batch ?on_dispatch ?pool ?jobs (robust_thunks spec ~seeds)
+  Parallel.run ~jobs (robust_thunks spec ~seeds)
   |> robust_of_results spec ~seeds
 
-let series_robust ?on_dispatch ?pool ?jobs ~make ~seeds xs =
+let series_robust ?(jobs = 1) ~make ~seeds xs =
   if seeds = [] then invalid_arg "Sweep.series_robust: empty seed list";
   let specs = List.map make xs in
   let runs = List.concat_map (robust_thunks ~seeds) specs in
-  run_batch ?on_dispatch ?pool ?jobs runs
+  Parallel.run ~jobs runs
   |> chunk (List.length seeds)
   |> List.map2
        (fun (x, spec) results -> (x, robust_of_results spec ~seeds results))

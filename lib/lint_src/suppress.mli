@@ -7,7 +7,7 @@
     suppresses findings of that rule on its own line and the following
     line.  An allowlist line
 
-    {v D003 lib/core/parallel.ml — reason v}
+    {v D004 lib/stats/histogram.ml — reason v}
 
     suppresses the rule for a whole file.  Justifications are mandatory
     in both forms: entries without one are reported as config errors

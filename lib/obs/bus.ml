@@ -103,7 +103,3 @@ let decision_run t ~node =
     match t.counters with
     | Some c -> Counters.incr_decision c ~node
     | None -> ()
-
-let engine_event t =
-  if t.enabled then
-    match t.counters with Some c -> Counters.incr_events c | None -> ()

@@ -50,6 +50,3 @@ val loop_resolved : ?prefix:int -> t -> time:float -> members:int list -> unit
 
 val decision_run : t -> node:int -> unit
 (** Counter-only: one decision-process invocation. *)
-
-val engine_event : t -> unit
-(** Counter-only: one engine event executed. *)

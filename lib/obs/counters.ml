@@ -88,7 +88,6 @@ let incr_fib_change t ~node:i =
 let incr_mrai_fire t = t.mrai_fires <- t.mrai_fires + 1
 let incr_link_flap t = t.link_flaps <- t.link_flaps + 1
 let incr_loop t = t.loops_detected <- t.loops_detected + 1
-let incr_events t = t.events_executed <- t.events_executed + 1
 let incr_trace_dropped t = t.trace_dropped <- t.trace_dropped + 1
 let add_events t n = t.events_executed <- t.events_executed + n
 

@@ -1,5 +1,6 @@
 (** Counter/gauge registry: cheap integer counters bumped by the bus,
-    snapshot-able mid-run and mergeable across [Parallel] workers. *)
+    snapshot-able mid-run and mergeable across the runs of a parallel
+    batch. *)
 
 type per_node = {
   mutable msgs_sent : int;
@@ -21,14 +22,13 @@ val incr_fib_change : t -> node:int -> unit
 val incr_mrai_fire : t -> unit
 val incr_link_flap : t -> unit
 val incr_loop : t -> unit
-val incr_events : t -> unit
 
 val incr_trace_dropped : t -> unit
 (** One trace event lost to a bounded sink (ring overwrite).  Long
     churn runs check this to detect silent trace loss. *)
 
 val add_events : t -> int -> unit
-(** Bulk variant of {!incr_events}: simulations credit the engine's
+(** Credits engine events executed: simulations add the engine's
     final executed-event count once per run instead of per event. *)
 
 val observe_queue_depth : t -> node:int -> depth:int -> unit

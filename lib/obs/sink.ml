@@ -33,15 +33,6 @@ let ring ?counters ~capacity () =
   in
   ({ emit; close = (fun () -> ()) }, contents)
 
-let jsonl oc =
-  {
-    emit =
-      (fun ev ->
-        output_string oc (Event.to_json ev);
-        output_char oc '\n');
-    close = (fun () -> flush oc);
-  }
-
 let jsonl_file path =
   let oc = open_out path in
   {
@@ -56,7 +47,8 @@ let jsonl_file path =
    writes, so the hot path does no per-event allocation or syscall. *)
 let binary_flush_threshold = 64 * 1024
 
-let binary_emitter oc ~close_channel =
+let binary_file path =
+  let oc = open_out_bin path in
   let buf = Buffer.create (binary_flush_threshold + 512) in
   Buffer.add_string buf Binary.header;
   let flush_buf () =
@@ -71,13 +63,8 @@ let binary_emitter oc ~close_channel =
     close =
       (fun () ->
         flush_buf ();
-        if close_channel then close_out oc else flush oc);
+        close_out oc);
   }
-
-let binary oc = binary_emitter oc ~close_channel:false
-
-let binary_file path =
-  binary_emitter (open_out_bin path) ~close_channel:true
 
 let tee a b =
   {

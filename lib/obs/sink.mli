@@ -21,22 +21,15 @@ val ring :
     runs can detect loss.  Raises [Invalid_argument] if
     [capacity <= 0]. *)
 
-val jsonl : out_channel -> t
-(** Write one JSON object per line.  [close] flushes but does not close
-    the channel (caller owns it). *)
-
 val jsonl_file : string -> t
-(** Like {!jsonl} but opens [path] and closes it on [close]. *)
-
-val binary : out_channel -> t
-(** Write the binary trace format ({!Binary}): stream header up front,
-    one length-prefixed frame per event, buffered through a reused
-    buffer (no per-event allocation).  [close] flushes but does not
-    close the channel (caller owns it). *)
+(** Open [path] and write one JSON object per line; [close] closes
+    it. *)
 
 val binary_file : string -> t
-(** Like {!binary} but opens [path] (binary mode) and closes it on
-    [close]. *)
+(** Open [path] (binary mode) and write the binary trace format
+    ({!Binary}): stream header up front, one length-prefixed frame per
+    event, buffered through a reused buffer (no per-event allocation).
+    [close] flushes and closes it. *)
 
 val tee : t -> t -> t
 (** Duplicate events to both sinks. *)

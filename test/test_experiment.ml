@@ -269,20 +269,6 @@ let test_series_shape () =
       Alcotest.(check bool) "each point converged" true m.converged)
     series
 
-let test_over_seeds_summary () =
-  let spec =
-    { (Experiment.default_spec (Experiment.Clique 5)) with mrai = 5. }
-  in
-  let s =
-    Sweep.over_seeds_summary spec ~seeds:[ 1; 2; 3 ]
-      ~metric:(fun (m : Metrics.Run_metrics.t) -> m.convergence_time)
-  in
-  Alcotest.(check int) "n" 3 s.n;
-  Alcotest.(check bool) "ordered" true (s.min <= s.mean && s.mean <= s.max);
-  let m1 = Experiment.metrics { spec with seed = 1 } in
-  Alcotest.(check bool) "contains seed-1 run" true
-    (m1.convergence_time >= s.min && m1.convergence_time <= s.max)
-
 let test_linearity_helper () =
   let make m =
     { (Experiment.default_spec (Experiment.Clique 5)) with mrai = m }
@@ -310,8 +296,7 @@ let test_figures_fig7_csvs () =
         (Sys.readdir dir);
       Sys.rmdir dir)
     (fun () ->
-      Parallel.with_pool ~jobs:2 (fun pool ->
-          Figures.run ~pool ~dir [ "fig7" ]);
+      Figures.run ~jobs:2 ~dir [ "fig7" ];
       let expected =
         [
           ( "fig5a_fig7a_clique15_tdown_vs_mrai.csv",
@@ -415,7 +400,6 @@ let () =
           tc "over_seeds averages" test_over_seeds_averages;
           tc "over_seeds rejects empty" test_over_seeds_rejects_empty;
           tc "series shape" test_series_shape;
-          tc "seed dispersion summary" test_over_seeds_summary;
           tc "linearity helper" test_linearity_helper;
         ] );
       ( "figures",

@@ -302,7 +302,7 @@ let interval_of key = [| 0.; 5.; 10.; 10. |].(key)
    drain loop); everything sent is logged as (key, msg) in transmit
    order.  Messages carry the key they are offered under, which
    [transmit] must be handed back. *)
-let run_batched mode ops =
+let run_deadline_queue mode ops =
   let engine = Dessim.Engine.create () in
   let sent = ref [] in
   let since_fire = Hashtbl.create 8 in
@@ -422,7 +422,7 @@ let prop_batched_mrai_equals_naive =
          ops in nondecreasing time order *)
       let ops = List.stable_sort (fun a b -> compare a.at b.at) ops in
       List.for_all
-        (fun mode -> run_batched mode ops = run_naive mode ops)
+        (fun mode -> run_deadline_queue mode ops = run_naive mode ops)
         [ Bgp.Mrai.Collapse; Bgp.Mrai.Fifo ])
 
 (* --- QCheck: mesh streaming scans = N independent post-hoc scans --- *)

@@ -1,8 +1,8 @@
-(* Tests for the Parallel domain pool and the parallel sweep paths:
-   ordered gather, sequential/parallel equivalence (including failure
-   order), clean shutdown after a raising run, and the RNG-hygiene
-   guard.  Runs compare with [wall_clock_s] zeroed out — it is the one
-   field documented to differ between sequential and pooled runs. *)
+(* Tests for Parallel.run and the parallel sweep paths: ordered gather,
+   sequential/parallel equivalence (including failure order), each
+   thunk run exactly once, and RNG hygiene.  Runs compare with
+   [wall_clock_s] zeroed out — it is the one field documented to differ
+   between sequential and parallel runs. *)
 
 open Bgpsim
 
@@ -11,13 +11,10 @@ let strip (m : Metrics.Run_metrics.t) = { m with wall_clock_s = 0. }
 let strip_robust (r : Sweep.robust) =
   { r with Sweep.metrics = Option.map strip r.metrics }
 
-(* --- pool basics --- *)
+(* --- the runner --- *)
 
 let test_run_preserves_order () =
-  Parallel.with_pool ~jobs:4 @@ fun pool ->
-  let results =
-    Parallel.run pool (List.init 20 (fun i () -> i * i))
-  in
+  let results = Parallel.run ~jobs:4 (List.init 20 (fun i () -> i * i)) in
   Alcotest.(check (list int))
     "squares in submission order"
     (List.init 20 (fun i -> i * i))
@@ -27,20 +24,26 @@ let test_map_matches_sequential () =
   let xs = List.init 15 (fun i -> i) in
   let f x = (x * 7919) mod 997 in
   let seq = List.map f xs in
-  let par = Parallel.map ~jobs:3 f xs |> List.map Result.get_ok in
+  let par =
+    Parallel.run ~jobs:3 (List.map (fun x () -> f x) xs)
+    |> List.map Result.get_ok
+  in
   Alcotest.(check (list int)) "map ordering" seq par
 
 let test_jobs_clamped () =
-  Parallel.with_pool ~jobs:0 @@ fun pool ->
-  Alcotest.(check int) "jobs 0 clamps to 1" 1 (Parallel.jobs pool);
+  let caller = Domain.self () in
+  let ran_in =
+    Parallel.run ~jobs:0 (List.init 3 (fun _ () -> Domain.self ()))
+  in
+  Alcotest.(check bool) "jobs 0 runs every thunk in the caller" true
+    (List.for_all (fun r -> Result.get_ok r = caller) ran_in);
   Alcotest.check_raises "negative jobs"
-    (Invalid_argument "Parallel.create: negative jobs") (fun () ->
-      ignore (Parallel.create ~jobs:(-1) ()))
+    (Invalid_argument "Parallel.run: negative jobs") (fun () ->
+      ignore (Parallel.run ~jobs:(-1) [ (fun () -> 1) ]))
 
 let test_exception_isolated () =
-  Parallel.with_pool ~jobs:2 @@ fun pool ->
   let results =
-    Parallel.run pool
+    Parallel.run ~jobs:2
       [
         (fun () -> 1);
         (fun () -> failwith "boom");
@@ -51,48 +54,86 @@ let test_exception_isolated () =
   | [ Ok 1; Error (Failure msg); Ok 3 ] when msg = "boom" -> ()
   | _ -> Alcotest.fail "expected [Ok 1; Error boom; Ok 3]"
 
-(* --- shutdown --- *)
-
-let test_shutdown_after_raise () =
-  let pool = Parallel.create ~jobs:2 () in
-  let results =
-    Parallel.run pool [ (fun () -> failwith "die"); (fun () -> 2) ]
+(* thunk i of 6 sleeps (6 - i) ms, so the later thunks tend to finish
+   first; the outcomes still come back in submission order *)
+let test_out_of_order_completion () =
+  let thunk i () =
+    Unix.sleepf (float_of_int (6 - i) *. 1e-3);
+    i
   in
-  Alcotest.(check int) "both results gathered" 2 (List.length results);
-  (* all worker domains must join even though a run raised *)
-  Parallel.shutdown pool;
-  Parallel.shutdown pool (* idempotent *);
-  Alcotest.check_raises "run after shutdown"
-    (Invalid_argument "Parallel.run: pool is shut down") (fun () ->
-      ignore (Parallel.run pool [ (fun () -> 1) ]))
+  Alcotest.(check (list int))
+    "submission order" [ 0; 1; 2; 3; 4; 5 ]
+    (Parallel.run ~jobs:3 (List.init 6 thunk) |> List.map Result.get_ok)
+
+let test_batch_shorter_than_jobs () =
+  let calls = Array.init 3 (fun _ -> Atomic.make 0) in
+  let results =
+    Parallel.run ~jobs:8
+      (List.init 3 (fun i () ->
+           Atomic.incr calls.(i);
+           i))
+  in
+  Alcotest.(check (list int))
+    "three results, in order" [ 0; 1; 2 ]
+    (List.map Result.get_ok results);
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int) (Printf.sprintf "thunk %d ran once" i) 1
+        (Atomic.get c))
+    calls
 
 (* --- RNG hygiene --- *)
 
-let test_rng_hygiene_fires () =
-  Parallel.with_pool ~jobs:2 ~check_rng_hygiene:true @@ fun pool ->
-  let results =
-    Parallel.run pool
-      [ (fun () -> ignore (Random.bits ())); (fun () -> ()) ]
-  in
-  (match results with
-  | [ Error (Parallel.Rng_hygiene _); Ok () ] -> ()
-  | _ -> Alcotest.fail "expected the Random-drawing run flagged, the clean one Ok")
+(* A seeded run draws only from its own Dessim.Rng streams, never from
+   the domain's global [Random] state, whose draws would depend on
+   scheduling (DESIGN.md §9; bgpsim-lint D003 checks the same
+   statically).  The snapshots are taken inside each thunk:
+   [Domain.spawn] splits the parent's global state, so snapshots taken
+   around the whole batch can differ with no run drawing at all. *)
+let moves_global_random f () =
+  let before = Random.get_state () in
+  let v = f () in
+  (v, Stdlib.compare before (Random.get_state ()) <> 0)
 
 let test_rng_hygiene_passes_simulation () =
-  (* a real experiment run draws only from its own Dessim.Rng streams *)
-  Parallel.with_pool ~jobs:1 ~check_rng_hygiene:true @@ fun pool ->
   let spec =
     { (Experiment.default_spec (Experiment.Clique 5)) with mrai = 5. }
   in
-  match Parallel.run pool [ (fun () -> Experiment.metrics spec) ] with
-  | [ Ok m ] -> Alcotest.(check bool) "converged" true m.converged
-  | [ Error exn ] -> Alcotest.fail (Printexc.to_string exn)
-  | _ -> Alcotest.fail "expected one result"
+  let converged seed () = (Experiment.metrics { spec with seed }).converged in
+  List.iter
+    (fun jobs ->
+      (* the first thunk draws on purpose: the check must see it *)
+      let draw () = Random.bits () >= 0 in
+      match
+        Parallel.run ~jobs
+          (List.map moves_global_random
+             [ draw; converged 1; converged 2; converged 3 ])
+      with
+      | Ok (_, drew) :: runs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs %d: a global draw is seen" jobs)
+            true drew;
+          List.iteri
+            (fun i r ->
+              let seed = i + 1 in
+              match r with
+              | Ok (ok, moved) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "jobs %d: seed %d converged" jobs seed)
+                    true ok;
+                  Alcotest.(check bool)
+                    (Printf.sprintf "jobs %d: seed %d leaves Random alone"
+                       jobs seed)
+                    false moved
+              | Error exn -> Alcotest.fail (Printexc.to_string exn))
+            runs
+      | _ -> Alcotest.fail "expected the control thunk to complete")
+    [ 1; 2 ]
 
 (* --- sweep equivalence --- *)
 
-let clique_sweep ?pool ?jobs () =
-  Sweep.series ?pool ?jobs
+let clique_sweep ?jobs () =
+  Sweep.series ?jobs
     ~make:(fun n -> Experiment.default_spec (Experiment.Clique n))
     ~seeds:[ 1; 2; 3 ]
     [ 5; 10 ]
@@ -112,7 +153,7 @@ let test_series_robust_parallel_equals_sequential () =
   (* mixed batch: sizes 4 and 6 run fine, origin 99 on a 5-node custom
      graph raises in every seed — the robust sweep must record those
      failures in seed order and still average the good runs, with the
-     pooled run byte-identical to the sequential one *)
+     parallel run byte-identical to the sequential one *)
   let make = function
     | `Good n -> { (Experiment.default_spec (Experiment.Clique n)) with mrai = 5. }
     | `Bad ->
@@ -147,87 +188,24 @@ let test_series_robust_parallel_equals_sequential () =
       Alcotest.(check bool) "good point averaged" true m.converged
   | _ -> Alcotest.fail "good point should complete all seeds"
 
-(* --- dispatch-overhead fallback --- *)
-
-(* Micro-runs through a [?jobs] sweep must never pay for a temporary
-   pool: a clique-4 metrics run finishes far below the 1 ms dispatch
-   threshold, so the probe has to keep the whole batch in the calling
-   domain.  This is the regression test for the sweep-pool overhead
-   bug, wired through the [?on_dispatch] hook. *)
-let test_jobs_falls_back_for_micro_runs () =
-  let dispatches = ref [] in
-  let on_dispatch d = dispatches := d :: !dispatches in
-  let spec =
-    { (Experiment.default_spec (Experiment.Clique 4)) with mrai = 1. }
-  in
-  let seq = strip (Sweep.over_seeds spec ~seeds:[ 1; 2; 3 ]) in
-  let probed =
-    strip (Sweep.over_seeds ~on_dispatch ~jobs:4 spec ~seeds:[ 1; 2; 3 ])
-  in
-  (match !dispatches with
-  | [ Sweep.Probed_sequential { probe_s } ] ->
-      Alcotest.(check bool)
-        (Printf.sprintf "probe (%g s) below threshold" probe_s)
-        true
-        (probe_s < Sweep.dispatch_overhead_s)
-  | _ -> Alcotest.fail "expected exactly one Probed_sequential dispatch");
-  Alcotest.(check bool) "fallback metrics identical" true (seq = probed)
-
-(* The probe must not disable parallelism for real runs: a thunk that
-   sleeps past the threshold keeps the pooled path. *)
-let test_jobs_still_pools_expensive_runs () =
-  let dispatches = ref [] in
-  let on_dispatch d = dispatches := d :: !dispatches in
-  let slow x () =
-    Unix.sleepf (2. *. Sweep.dispatch_overhead_s);
-    x * 3
-  in
-  let results =
-    Sweep.run_batch ~on_dispatch ~jobs:2 (List.map slow [ 1; 2; 3 ])
-    |> List.map Result.get_ok
-  in
-  Alcotest.(check (list int)) "order kept" [ 3; 6; 9 ] results;
-  match !dispatches with
-  | [ Sweep.Probed_pool { jobs = 2; probe_s } ] ->
-      Alcotest.(check bool)
-        (Printf.sprintf "probe (%g s) above threshold" probe_s)
-        true
-        (probe_s >= Sweep.dispatch_overhead_s)
-  | _ -> Alcotest.fail "expected exactly one Probed_pool dispatch"
-
-(* A caller-supplied pool is never second-guessed, however small the
-   runs: its spawn cost is already sunk. *)
-let test_caller_pool_is_not_probed () =
-  let dispatches = ref [] in
-  let on_dispatch d = dispatches := d :: !dispatches in
-  Parallel.with_pool ~jobs:2 @@ fun pool ->
-  let spec =
-    { (Experiment.default_spec (Experiment.Clique 4)) with mrai = 1. }
-  in
-  let (_ : Metrics.Run_metrics.t) =
-    Sweep.over_seeds ~on_dispatch ~pool spec ~seeds:[ 1; 2 ]
-  in
-  match !dispatches with
-  | [ Sweep.Pool { jobs = 2 } ] -> ()
-  | _ -> Alcotest.fail "expected one un-probed Pool dispatch"
-
 let test_over_seeds_robust_parallel () =
   let spec =
     { (Experiment.default_spec (Experiment.Clique 6)) with mrai = 5. }
   in
   let seeds = [ 1; 2; 3; 4 ] in
   let seq = strip_robust (Sweep.over_seeds_robust spec ~seeds) in
-  Parallel.with_pool ~jobs:3 @@ fun pool ->
-  let par = strip_robust (Sweep.over_seeds_robust ~pool spec ~seeds) in
-  Alcotest.(check bool) "pooled over_seeds_robust identical" true (seq = par)
+  let par = strip_robust (Sweep.over_seeds_robust ~jobs:3 spec ~seeds) in
+  Alcotest.(check bool) "jobs 3 over_seeds_robust identical" true (seq = par)
 
 (* --- trace determinism --- *)
 
 let test_trace_digests_identical_across_jobs () =
-  (* each worker runs a fixture with its own memory-sink bus; the
-     resulting digests must not depend on worker count or scheduling *)
+  (* each domain runs a fixture with its own memory-sink bus; the
+     resulting digests must not depend on the domain count or on
+     scheduling *)
   let digests jobs =
-    Parallel.map ~jobs Golden.digest Golden.fixtures
+    Parallel.run ~jobs
+      (List.map (fun f () -> Golden.digest f) Golden.fixtures)
     |> List.map Result.get_ok
   in
   let seq = digests 1 in
@@ -241,7 +219,7 @@ let test_trace_digests_identical_across_jobs () =
     [ 2; 4 ]
 
 let test_counter_snapshots_merge_across_workers () =
-  (* the pooled merge must equal a sequential fold over the same runs *)
+  (* the parallel merge must equal a sequential fold over the same runs *)
   let specs =
     List.map
       (fun seed ->
@@ -260,7 +238,9 @@ let test_counter_snapshots_merge_across_workers () =
   in
   let seq = merge_all (List.map counted specs) in
   let par =
-    merge_all (Parallel.map ~jobs:4 counted specs |> List.map Result.get_ok)
+    merge_all
+      (Parallel.run ~jobs:4 (List.map (fun spec () -> counted spec) specs)
+      |> List.map Result.get_ok)
   in
   Alcotest.(check int) "updates sent" seq.s_updates_sent par.s_updates_sent;
   Alcotest.(check int) "fib changes" seq.s_fib_changes par.s_fib_changes;
@@ -277,25 +257,20 @@ let () =
           tc "map matches sequential" test_map_matches_sequential;
           tc "jobs clamped" test_jobs_clamped;
           tc "exception isolated" test_exception_isolated;
-          tc "shutdown after raise" test_shutdown_after_raise;
+        ] );
+      ( "runner edge cases",
+        [
+          tc "completion out of order" test_out_of_order_completion;
+          tc "batch shorter than jobs" test_batch_shorter_than_jobs;
         ] );
       ( "rng-hygiene",
-        [
-          tc "global Random use flagged" test_rng_hygiene_fires;
-          tc "simulation runs clean" test_rng_hygiene_passes_simulation;
-        ] );
+        [ tc "simulation runs clean" test_rng_hygiene_passes_simulation ] );
       ( "sweep",
         [
           tc "series deterministic across jobs" test_series_deterministic_across_jobs;
           tc "series_robust parallel = sequential"
             test_series_robust_parallel_equals_sequential;
-          tc "over_seeds_robust with shared pool" test_over_seeds_robust_parallel;
-        ] );
-      ( "dispatch fallback",
-        [
-          tc "micro-runs stay sequential" test_jobs_falls_back_for_micro_runs;
-          tc "expensive runs still pool" test_jobs_still_pools_expensive_runs;
-          tc "caller pool never probed" test_caller_pool_is_not_probed;
+          tc "over_seeds_robust across jobs" test_over_seeds_robust_parallel;
         ] );
       ( "observability",
         [
