@@ -11,32 +11,6 @@
 
 let usage = "bgpsim_lint [--json FILE] [--root DIR] [--src-root DIR] [--allowlist FILE] [--all] [--selftest] [--list-rules]"
 
-let ends_with ~suffix s =
-  let ls = String.length suffix and l = String.length s in
-  l >= ls && String.sub s (l - ls) ls = suffix
-
-let rec find_cmts dir acc =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> acc
-  | entries ->
-      Array.sort String.compare entries;
-      Array.fold_left
-        (fun acc name ->
-          let path = Filename.concat dir name in
-          if Sys.is_directory path then find_cmts path acc
-          else if ends_with ~suffix:".cmt" name then path :: acc
-          else acc)
-        acc entries
-
-let scan_roots cmt_root =
-  List.concat_map
-    (fun sub ->
-      let dir = Filename.concat cmt_root sub in
-      if Sys.file_exists dir && Sys.is_directory dir then
-        List.rev (find_cmts dir [])
-      else [])
-    [ "lib"; "bin" ]
-
 let run_selftest () =
   match Lint_src.Fixtures.check_all () with
   | Ok n ->
@@ -103,7 +77,7 @@ let () =
     let src_root = if !src_root <> "" then !src_root else "." in
     (cmt_root, src_root)
   in
-  let cmts = scan_roots cmt_root in
+  let cmts = Lint_src.Analyze.tree_cmts cmt_root in
   if cmts = [] then begin
     Printf.eprintf
       "bgpsim-lint: no .cmt files under %s/{lib,bin} — run `dune build \
@@ -111,32 +85,7 @@ let () =
       cmt_root;
     exit 2
   end;
-  (* R001 reachability: unit -> direct imports over the scanned set *)
-  let units, import_errors =
-    List.fold_left
-      (fun (acc, errs) path ->
-        match Lint_src.Analyze.imports_of_cmt path with
-        | Ok (unit_name, deps) -> ((path, unit_name, deps) :: acc, errs)
-        | Error e -> (acc, e :: errs))
-      ([], []) cmts
-  in
-  let units = List.rev units and import_errors = List.rev import_errors in
-  let imports = List.map (fun (_, u, d) -> (u, d)) units in
-  let reachable =
-    Lint_src.Analyze.worker_reachable_set ~imports
-      ~roots:Lint_src.Analyze.default_roots
-  in
-  let module SSet = Set.Make (String) in
-  let findings, analyze_errors =
-    List.fold_left
-      (fun (fs, errs) (path, unit_name, _) ->
-        let worker_reachable = SSet.mem unit_name reachable in
-        match Lint_src.Analyze.analyze_cmt ~worker_reachable path with
-        | Ok (_, f) -> (f @ fs, errs)
-        | Error e -> (fs, e :: errs))
-      ([], []) units
-  in
-  let analyze_errors = List.rev analyze_errors in
+  let findings, analyze_errors = Lint_src.Analyze.analyze_tree cmts in
   let allowlist_path =
     if !allowlist <> "" then Some !allowlist
     else
@@ -153,7 +102,7 @@ let () =
   in
   let report =
     Lint_src.Report.build ~findings ~scan_source ~allows
-      ~allow_errors:(import_errors @ analyze_errors @ allow_errors)
+      ~allow_errors:(analyze_errors @ allow_errors)
   in
   print_string (Lint_src.Report.to_text ~show_suppressed:!show_all report);
   if !json_out <> "" then begin

@@ -405,3 +405,48 @@ let worker_reachable_set ~imports ~roots =
   closure SSet.empty seeds
 
 let default_roots = [ "Parallel"; "Sweep" ]
+
+(* --- the whole tree --- *)
+
+let rec find_cmts dir acc =
+  match Sys.readdir dir with
+  | exception Sys_error _ -> acc
+  | entries ->
+      Array.sort String.compare entries;
+      Array.fold_left
+        (fun acc name ->
+          let path = Filename.concat dir name in
+          if Sys.is_directory path then find_cmts path acc
+          else if Filename.check_suffix name ".cmt" then path :: acc
+          else acc)
+        acc entries
+
+let tree_cmts root =
+  List.concat_map
+    (fun sub -> List.rev (find_cmts (Filename.concat root sub) []))
+    [ "lib"; "bin" ]
+
+let analyze_tree cmts =
+  let units, import_errors =
+    List.fold_left
+      (fun (acc, errs) path ->
+        match imports_of_cmt path with
+        | Ok (unit_name, deps) -> ((path, unit_name, deps) :: acc, errs)
+        | Error e -> (acc, e :: errs))
+      ([], []) cmts
+  in
+  let reachable =
+    worker_reachable_set
+      ~imports:(List.map (fun (_, u, d) -> (u, d)) units)
+      ~roots:default_roots
+  in
+  let findings, analyze_errors =
+    List.fold_left
+      (fun (fs, errs) (path, unit_name, _) ->
+        let worker_reachable = SSet.mem unit_name reachable in
+        match analyze_cmt ~worker_reachable path with
+        | Ok (_, f) -> (f @ fs, errs)
+        | Error e -> (fs, e :: errs))
+      ([], []) (List.rev units)
+  in
+  (findings, List.rev import_errors @ List.rev analyze_errors)

@@ -39,3 +39,13 @@ val default_roots : string list
 
 val norm_unit_last : string -> string
 (** ["Bgp__As_path"] → ["As_path"]. *)
+
+val tree_cmts : string -> string list
+(** Every [.cmt] under [ROOT/lib] and [ROOT/bin], in a fixed order:
+    the cmt tree of a build directory such as [_build/default]. *)
+
+val analyze_tree : string list -> Finding.t list * string list
+(** Analyze [cmts] as one tree, R001 armed on the units
+    {!worker_reachable_set} reaches over their imports from
+    {!default_roots}.  Returns the findings and the cmts that could
+    not be read. *)

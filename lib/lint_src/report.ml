@@ -10,6 +10,8 @@ type t = {
   config_errors : string list;
   unused_suppressions : (string * int * Rule.t) list;
       (* comment suppressions that matched nothing: informational *)
+  unused_allows : Suppress.allow list;
+      (* allowlist entries that matched nothing: informational *)
 }
 
 let justification = function
@@ -44,7 +46,7 @@ let build ~findings ~scan_source ~allows ~allow_errors =
   let supps_of file =
     match List.assoc_opt file supps_by_file with Some s -> s | None -> []
   in
-  let used = ref [] in
+  let used = ref [] and used_allows = ref [] in
   let classify (f : Finding.t) =
     match
       List.find_opt
@@ -60,7 +62,9 @@ let build ~findings ~scan_source ~allows ~allow_errors =
             (fun a -> Suppress.allow_covers a ~rule:f.rule ~file:f.file)
             allows
         with
-        | Some a -> Allowlisted a.a_justification
+        | Some a ->
+            used_allows := a :: !used_allows;
+            Allowlisted a.a_justification
         | None -> Open)
   in
   let entries =
@@ -78,7 +82,15 @@ let build ~findings ~scan_source ~allows ~allow_errors =
           supps)
       (List.sort (fun (a, _) (b, _) -> String.compare a b) supps_by_file)
   in
-  { entries; config_errors = scan_errors @ allow_errors; unused_suppressions }
+  let unused_allows =
+    List.filter (fun a -> not (List.memq a !used_allows)) allows
+  in
+  {
+    entries;
+    config_errors = scan_errors @ allow_errors;
+    unused_suppressions;
+    unused_allows;
+  }
 
 (* --- human rendering --- *)
 
@@ -100,6 +112,11 @@ let pp ?(show_suppressed = false) ppf t =
     (fun (file, line, rule) ->
       f "%s:%d: warning: unused suppression for %s@\n" file line (Rule.id rule))
     t.unused_suppressions;
+  List.iter
+    (fun (a : Suppress.allow) ->
+      f "%s: warning: unused allowlist entry for %s@\n" a.a_file
+        (Rule.id a.a_rule))
+    t.unused_allows;
   List.iter (fun e -> f "config error: %s@\n" e) t.config_errors;
   f "bgpsim-lint: %d finding%s (%d open, %d suppressed)%s@."
     (List.length t.entries)
@@ -219,4 +236,5 @@ let of_json_string s =
       entries = List.rev entries;
       config_errors = errors;
       unused_suppressions = [];
+      unused_allows = [];
     }

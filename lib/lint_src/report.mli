@@ -14,6 +14,9 @@ type t = {
       (** malformed suppressions, missing justifications — exit 2 *)
   unused_suppressions : (string * int * Rule.t) list;
       (** informational: suppression comments matching no finding *)
+  unused_allows : Suppress.allow list;
+      (** informational: allowlist entries matching no finding, in
+          allowlist order *)
 }
 
 val build :
@@ -45,5 +48,6 @@ val to_json : t -> Json.t
 val to_json_string : t -> string
 
 val of_json_string : string -> (t, string) result
-(** Inverse of {!to_json_string} up to [unused_suppressions] (not
-    serialized).  Used by the schema round-trip tests. *)
+(** Inverse of {!to_json_string} up to [unused_suppressions] and
+    [unused_allows] (not serialized).  Used by the schema round-trip
+    tests. *)

@@ -10,7 +10,7 @@
 
    The allowlist file holds one entry per line,
 
-     D003 lib/core/parallel.ml — reason
+     D004 lib/stats/histogram.ml — reason
 
    suppressing every finding of that rule in that file; '#' starts a
    comment line.  Justifications are mandatory there too. *)
