@@ -504,7 +504,7 @@ let () =
         (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
         (String.concat ", " (List.map fst groups));
       exit 2);
-  say "sweep pool: %d worker(s) (host recommends %d domains)@."
+  say "jobs: %d domain(s), the calling one included (host recommends %d)@."
     (Stdlib.max 1 jobs)
     (Domain.recommended_domain_count ());
   List.iter

@@ -16,12 +16,14 @@ let default =
   }
 
 let validate t =
-  if t.link_delay <= 0. then invalid_arg "Params: link_delay <= 0";
+  if not (t.link_delay > 0. && Float.is_finite t.link_delay) then
+    invalid_arg "Params: link_delay must be finite and > 0";
   if t.proc_delay_min < 0. then invalid_arg "Params: proc_delay_min < 0";
   if t.proc_delay_max < t.proc_delay_min then
     invalid_arg "Params: proc_delay_max < proc_delay_min";
   if t.ttl <= 0 then invalid_arg "Params: ttl <= 0";
-  if t.pkt_rate <= 0. then invalid_arg "Params: pkt_rate <= 0"
+  if not (t.pkt_rate > 0. && Float.is_finite t.pkt_rate) then
+    invalid_arg "Params: pkt_rate must be finite and > 0"
 
 let pp fmt t =
   Format.fprintf fmt

@@ -19,7 +19,8 @@ val default : t
     10 pkt/s. *)
 
 val validate : t -> unit
-(** @raise Invalid_argument on non-positive delays/rate, inverted
+(** @raise Invalid_argument on a link delay or packet rate that is not
+    finite and positive, a negative processing delay, inverted
     processing bounds, or [ttl <= 0]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -23,11 +23,18 @@ val pp_fate : Format.formatter -> fate -> unit
 
 type plane
 (** A compiled FIB history: per-node change times and next hops in
-    unboxed arrays, a per-node lookup cursor, and the distinct change
-    instants that bound the epochs in which the whole FIB is constant.
-    Size O(n + changes).  Later changes to the history are not seen. *)
+    unboxed arrays, a per-node lookup cursor, the distinct change
+    instants that bound the epochs in which the whole FIB is constant,
+    and a walk's hop log.  Size O(n + changes).  Later changes to the
+    history are not seen. *)
 
 val compile : Netcore.Fib_history.t -> plane
+
+val advance : float -> float -> int -> float
+(** The walk's clock: [advance t d k] is [t] after [k] sequential
+    [+. d] additions (none when [k <= 0]), bit for bit.  O(1) while the
+    sums stay in the binade of a positive normal [t] and [d] is not an
+    odd multiple of half its ulp; otherwise it makes the additions. *)
 
 val walk :
   plane ->
@@ -39,8 +46,11 @@ val walk :
   fate
 (** [walk plane ~origin ~link_delay ~ttl ~src ~send_time] traces one
     packet from [src] to the destination attached to [origin].
-    @raise Invalid_argument if [ttl <= 0], [link_delay <= 0.], or
-    [src <> origin] lies outside the history's nodes. *)
+    A packet that comes back to a node may jump whole laps of a loop
+    whose lookups all fall before the loop's next change, with the clock
+    {!advance} gives; its fate is the hop-by-hop walk's, bit for bit.
+    @raise Invalid_argument if [ttl <= 0], [link_delay] is not finite
+    and positive, or [src <> origin] lies outside the history's nodes. *)
 
 (** Outcome of {!streams}; the int arrays are per source, in the order
     of [sources]. *)
@@ -75,7 +85,10 @@ val streams :
     A packet that starts in the epoch of its source's last walk that
     stayed inside one epoch, and whose own last lookup still falls
     before that epoch ends, takes that walk's fate without a lookup;
-    its fate time comes from the same additions a walk makes.
-    @raise Invalid_argument on a non-positive [rate], [t1 < t0], an
+    its fate time is the walk's, from {!advance}.
+    @raise Invalid_argument on a [rate] that is not finite and positive
+    or whose interval [1 / rate] does not advance the send clock at the
+    window end of largest magnitude, on [t1 < t0] or an end that is not
+    finite, an
     invalid [ttl] or [link_delay] (as {!walk}), or a source equal to
     [origin] or outside [\[0, min n nodes)]. *)

@@ -52,6 +52,7 @@ val run :
     of the looping ratio: experiment drivers extend the send window a
     little past convergence to catch loops that outlive the last sent
     message, while counting only packets sent during convergence.
-    @raise Invalid_argument on a non-positive [rate], [ttl] or
-    [link_delay], [t1 < t0], or a source equal to [origin] / out of
-    range. *)
+    @raise Invalid_argument on a [rate] or [link_delay] that is not
+    finite and positive, a [rate] too high to advance the send clock
+    over the window, a non-positive [ttl], [t1 < t0] or an end that is
+    not finite, or a source equal to [origin] / out of range. *)

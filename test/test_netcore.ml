@@ -21,6 +21,13 @@ let test_params_validation () =
   in
   let d = Netcore.Params.default in
   Alcotest.(check bool) "link" true (raises { d with link_delay = 0. });
+  Alcotest.(check bool) "NaN link" true
+    (raises { d with link_delay = Float.nan });
+  Alcotest.(check bool) "infinite link" true
+    (raises { d with link_delay = infinity });
+  Alcotest.(check bool) "NaN rate" true (raises { d with pkt_rate = Float.nan });
+  Alcotest.(check bool) "infinite rate" true
+    (raises { d with pkt_rate = infinity });
   Alcotest.(check bool) "proc order" true
     (raises { d with proc_delay_max = 0.05 });
   Alcotest.(check bool) "ttl" true (raises { d with ttl = 0 });
