@@ -67,33 +67,41 @@ let node_count = function
   | Internet n | Waxman n | Glp n -> n
   | Custom { graph; _ } -> Topo.Graph.n_nodes graph
 
-(* Destination links whose failure keeps the destination reachable. *)
-let survivable_links graph origin =
-  List.filter
-    (fun peer ->
-      let without = Topo.Graph.remove_edge graph origin peer in
-      Topo.Graph.is_connected without)
-    (Topo.Graph.neighbors graph origin)
-  |> List.map (fun peer -> (origin, peer))
+(* [survival_test graph u v]: does the graph stay connected without
+   the link (u, v)?  That holds iff the graph is connected and the link
+   is not a bridge, so one O(n + m) bridge pass, run when [graph] alone
+   is applied, answers it for every link. *)
+let survival_test graph =
+  if not (Topo.Graph.is_connected graph) then fun _ _ -> false
+  else begin
+    let bridges = Hashtbl.create 16 in
+    List.iter
+      (fun e -> Hashtbl.replace bridges e ())
+      (Topo.Graph.bridges graph);
+    fun u v -> not (Hashtbl.mem bridges (Stdlib.min u v, Stdlib.max u v))
+  end
 
 (* Like [resolve] but without the scenario sanity check, so the static
    pre-flight can diagnose a broken script (with every issue collected)
    before anything raises. *)
 let resolve_raw spec =
   let rng = Dessim.Rng.create ~seed:(spec.seed + 0x7_0b0) in
-  let graph, origin =
+  let graph =
     match spec.topology with
-    | Clique n -> (Topo.Generators.clique n, 0)
-    | B_clique n -> (Topo.Generators.b_clique n, 0)
+    | Clique n -> Topo.Generators.clique n
+    | B_clique n -> Topo.Generators.b_clique n
+    | Internet n -> Topo.Internet.generate ~seed:spec.seed n
+    | Waxman n -> Topo.Random_graphs.waxman ~seed:spec.seed n
+    | Glp n -> Topo.Random_graphs.glp ~m:2 ~seed:spec.seed n
+    | Custom { graph; _ } -> graph
+  in
+  let test = lazy (survival_test graph) in
+  let survives u v = Lazy.force test u v in
+  let origin =
+    match spec.topology with
+    | Clique _ | B_clique _ -> 0
+    | Custom { origin; _ } -> origin
     | Internet _ | Waxman _ | Glp _ ->
-        let graph =
-          match spec.topology with
-          | Internet n -> Topo.Internet.generate ~seed:spec.seed n
-          | Waxman n -> Topo.Random_graphs.waxman ~seed:spec.seed n
-          | Glp n -> Topo.Random_graphs.glp ~m:2 ~seed:spec.seed n
-          | Clique _ | B_clique _ | Custom _ -> assert false
-        in
-        let stubs = Topo.Graph.min_degree_nodes graph in
         let candidates =
           match spec.event with
           | Tlong | Trecover ->
@@ -103,7 +111,8 @@ let resolve_raw spec =
                  single-homed and thus excluded) *)
               let survivable =
                 List.filter
-                  (fun v -> survivable_links graph v <> [])
+                  (fun v ->
+                    List.exists (survives v) (Topo.Graph.neighbors graph v))
                   (Topo.Graph.nodes graph)
               in
               let min_degree =
@@ -114,12 +123,12 @@ let resolve_raw spec =
               List.filter
                 (fun v -> Topo.Graph.degree graph v = min_degree)
                 survivable
-          | Tdown | Tup | Tlong_link _ | Trecover_link _ | Scenario _ -> stubs
+          | Tdown | Tup | Tlong_link _ | Trecover_link _ | Scenario _ ->
+              Topo.Graph.min_degree_nodes graph
         in
         if candidates = [] then
           invalid_arg "Experiment.resolve: no viable destination AS";
-        (graph, Dessim.Rng.pick rng candidates)
-    | Custom { graph; origin; _ } -> (graph, origin)
+        Dessim.Rng.pick rng candidates
   in
   (* canonical link for the Tlong/Trecover families: B-Clique uses the
      paper's (0, n) core link, other topologies a seed-chosen
@@ -128,11 +137,13 @@ let resolve_raw spec =
     match spec.topology with
     | B_clique n -> (0, n)
     | Clique _ | Internet _ | Waxman _ | Glp _ | Custom _ -> (
-        match survivable_links graph origin with
+        match
+          List.filter (survives origin) (Topo.Graph.neighbors graph origin)
+        with
         | [] ->
             invalid_arg
               "Experiment.resolve: no destination link survives the event"
-        | links -> Dessim.Rng.pick rng links)
+        | peers -> (origin, Dessim.Rng.pick rng peers))
   in
   let event =
     match spec.event with

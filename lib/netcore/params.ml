@@ -18,8 +18,12 @@ let default =
 let validate t =
   if not (t.link_delay > 0. && Float.is_finite t.link_delay) then
     invalid_arg "Params: link_delay must be finite and > 0";
-  if t.proc_delay_min < 0. then invalid_arg "Params: proc_delay_min < 0";
-  if t.proc_delay_max < t.proc_delay_min then
+  if
+    not (Float.is_finite t.proc_delay_min && Float.is_finite t.proc_delay_max)
+  then invalid_arg "Params: processing delays must be finite";
+  if not (t.proc_delay_min >= 0.) then
+    invalid_arg "Params: proc_delay_min < 0";
+  if not (t.proc_delay_max >= t.proc_delay_min) then
     invalid_arg "Params: proc_delay_max < proc_delay_min";
   if t.ttl <= 0 then invalid_arg "Params: ttl <= 0";
   if not (t.pkt_rate > 0. && Float.is_finite t.pkt_rate) then

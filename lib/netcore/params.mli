@@ -20,7 +20,7 @@ val default : t
 
 val validate : t -> unit
 (** @raise Invalid_argument on a link delay or packet rate that is not
-    finite and positive, a negative processing delay, inverted
-    processing bounds, or [ttl <= 0]. *)
+    finite and positive, a processing delay that is not finite or is
+    negative, inverted processing bounds, or [ttl <= 0]. *)
 
 val pp : Format.formatter -> t -> unit

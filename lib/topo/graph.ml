@@ -113,6 +113,57 @@ let is_connected t =
     let dist = bfs_distances t ~from:0 in
     Array.for_all (fun d -> d < max_int) dist
 
+(* Tarjan's low-link DFS, iterative so that a long chain cannot
+   overflow the stack.  [rest.(u)] holds the neighbours of [u] still to
+   explore; a tree edge (parent.(v), v) is a bridge iff nothing in v's
+   subtree reaches above v, i.e. low.(v) > disc.(parent.(v)).  Simple
+   graphs have no parallel edges, so skipping the parent vertex skips
+   exactly the tree edge. *)
+let bridges t =
+  let n = t.n in
+  let disc = Array.make n (-1) and low = Array.make n 0 in
+  let parent = Array.make n (-1) and rest = Array.make n [] in
+  let cut = Array.make n false in
+  let stack = Array.make n 0 and sp = ref 0 and clock = ref 0 in
+  let visit v p =
+    disc.(v) <- !clock;
+    low.(v) <- !clock;
+    incr clock;
+    parent.(v) <- p;
+    rest.(v) <- t.adj.(v);
+    stack.(!sp) <- v;
+    incr sp
+  in
+  for root = 0 to n - 1 do
+    if disc.(root) < 0 then visit root (-1);
+    while !sp > 0 do
+      let u = stack.(!sp - 1) in
+      match rest.(u) with
+      | v :: tl ->
+          rest.(u) <- tl;
+          if disc.(v) < 0 then visit v u
+          else if v <> parent.(u) then low.(u) <- Stdlib.min low.(u) disc.(v)
+      | [] ->
+          decr sp;
+          let p = parent.(u) in
+          if p >= 0 then begin
+            low.(p) <- Stdlib.min low.(p) low.(u);
+            cut.(u) <- low.(u) > disc.(p)
+          end
+    done
+  done;
+  (* [cut.(v)] marks the tree edge to v's parent; emit in [edges] order *)
+  let is_bridge u v =
+    (parent.(v) = u && cut.(v)) || (parent.(u) = v && cut.(u))
+  in
+  let acc = ref [] in
+  for u = 0 to n - 1 do
+    List.iter
+      (fun v -> if u < v && is_bridge u v then acc := (u, v) :: !acc)
+      t.adj.(u)
+  done;
+  List.rev !acc
+
 let remove_edge t u v =
   if not (has_edge t u v) then
     invalid_arg (Printf.sprintf "Graph.remove_edge: no edge (%d,%d)" u v);

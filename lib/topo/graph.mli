@@ -47,6 +47,12 @@ val reachable :
 val bfs_distances : t -> from:int -> int array
 (** Hop distances from [from]; unreachable nodes get [max_int]. *)
 
+val bridges : t -> (int * int) list
+(** The edges whose removal disconnects their endpoints, each once with
+    the smaller endpoint first, sorted like {!edges}.  In a connected
+    graph, removing an edge keeps it connected iff the edge is not a
+    bridge.  One iterative DFS, O(n + m), so any depth is safe. *)
+
 val remove_edge : t -> int -> int -> t
 (** A copy without the given edge.  @raise Invalid_argument if the edge
     is absent. *)

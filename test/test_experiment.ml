@@ -106,6 +106,116 @@ let test_resolve_random_models () =
       Alcotest.(check bool) "runs and converges" true m.converged)
     [ Experiment.Waxman 12; Experiment.Glp 12 ]
 
+(* --- Resolution oracle --- *)
+
+(* The destination-link rule as it stood before bridges: rebuild the
+   graph without each incident link and ask whether it stays
+   connected. *)
+let brute_survivable_links graph origin =
+  List.filter_map
+    (fun peer ->
+      if Topo.Graph.is_connected (Topo.Graph.remove_edge graph origin peer)
+      then Some (origin, peer)
+      else None)
+    (Topo.Graph.neighbors graph origin)
+
+(* What [Experiment.resolve_raw] must return for [spec] under T_long,
+   by the brute-force rule with the same RNG draws: [Ok (origin, link)]
+   or the [Invalid_argument] message.  T_recover draws the same. *)
+let reference_resolve (spec : Experiment.spec) =
+  let rng = Dessim.Rng.create ~seed:(spec.seed + 0x7_0b0) in
+  let graph =
+    match spec.topology with
+    | Experiment.Clique n -> Topo.Generators.clique n
+    | B_clique n -> Topo.Generators.b_clique n
+    | Internet n -> Topo.Internet.generate ~seed:spec.seed n
+    | Waxman n -> Topo.Random_graphs.waxman ~seed:spec.seed n
+    | Glp n -> Topo.Random_graphs.glp ~m:2 ~seed:spec.seed n
+    | Custom { graph; _ } -> graph
+  in
+  let degree = Topo.Graph.degree graph in
+  try
+    let origin =
+      match spec.topology with
+      | Experiment.Clique _ | B_clique _ -> 0
+      | Custom { origin; _ } -> origin
+      | Internet _ | Waxman _ | Glp _ ->
+          let survivable =
+            List.filter
+              (fun v -> brute_survivable_links graph v <> [])
+              (Topo.Graph.nodes graph)
+          in
+          let min_degree =
+            List.fold_left (fun acc v -> min acc (degree v)) max_int survivable
+          in
+          let candidates =
+            List.filter (fun v -> degree v = min_degree) survivable
+          in
+          if candidates = [] then
+            invalid_arg "Experiment.resolve: no viable destination AS";
+          Dessim.Rng.pick rng candidates
+    in
+    match spec.topology with
+    | Experiment.B_clique n -> Ok (origin, (0, n))
+    | Clique _ | Internet _ | Waxman _ | Glp _ | Custom _ -> (
+        match brute_survivable_links graph origin with
+        | [] ->
+            invalid_arg
+              "Experiment.resolve: no destination link survives the event"
+        | links -> Ok (origin, Dessim.Rng.pick rng links))
+  with Invalid_argument msg -> Error msg
+
+(* [Experiment.resolve_raw] agrees with [reference_resolve] on [spec]
+   under both link events. *)
+let resolves_like_reference spec =
+  let want = reference_resolve spec in
+  let got event =
+    match Experiment.resolve_raw { spec with Experiment.event } with
+    | _, origin, event -> Ok (origin, event)
+    | exception Invalid_argument msg -> Error msg
+  in
+  let expect make = Result.map (fun (o, (a, b)) -> (o, make a b)) want in
+  got Experiment.Tlong = expect (fun a b -> Bgp.Routing_sim.Tlong { a; b })
+  && got Experiment.Trecover
+     = expect (fun a b -> Bgp.Routing_sim.Trecover { a; b })
+
+let test_resolution_matches_brute_force () =
+  let sizes = [ 3; 4; 5; 6; 7; 8; 29; 48; 75; 110 ] in
+  let topologies =
+    List.concat_map
+      (fun n -> [ Experiment.Internet n; Waxman n; Glp n ])
+      sizes
+    @ List.init 8 (fun n -> Experiment.Clique (n + 1))
+    @ List.init 7 (fun n -> Experiment.B_clique (n + 2))
+  in
+  List.iter
+    (fun topology ->
+      List.iter
+        (fun seed ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s seed %d"
+               (Experiment.topology_name topology)
+               seed)
+            true
+            (resolves_like_reference
+               { (Experiment.default_spec topology) with seed }))
+        [ 1; 2; 3; 4; 5; 6 ])
+    topologies
+
+(* Every node of a random, possibly disconnected graph as the
+   destination of a custom topology: the survivable-link list the seed
+   draws from must be the brute-force one, empty lists included. *)
+let prop_custom_resolution_matches_brute_force =
+  QCheck.Test.make ~name:"custom-topology link = brute-force link" ~count:300
+    QCheck.(pair Graph_gen.arbitrary small_nat)
+    (fun (graph, seed) ->
+      List.for_all
+        (fun origin ->
+          let topology = Experiment.Custom { graph; origin; name = "random" } in
+          resolves_like_reference
+            { (Experiment.default_spec topology) with seed })
+        (Topo.Graph.nodes graph))
+
 let test_run_custom_topology () =
   let graph = Topo.Generators.ring 6 in
   let spec =
@@ -376,6 +486,10 @@ let () =
           tc "deterministic in seed" test_resolve_deterministic;
           tc "explicit Tlong link" test_resolve_explicit_link;
           tc "waxman and glp models" test_resolve_random_models;
+          tc "link events match brute force"
+            test_resolution_matches_brute_force;
+          QCheck_alcotest.to_alcotest
+            prop_custom_resolution_matches_brute_force;
         ] );
       ( "run",
         [

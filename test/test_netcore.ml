@@ -30,6 +30,14 @@ let test_params_validation () =
     (raises { d with pkt_rate = infinity });
   Alcotest.(check bool) "proc order" true
     (raises { d with proc_delay_max = 0.05 });
+  Alcotest.(check bool) "NaN proc delays" true
+    (raises { d with proc_delay_min = Float.nan; proc_delay_max = Float.nan });
+  Alcotest.(check bool) "NaN proc max" true
+    (raises { d with proc_delay_max = Float.nan });
+  Alcotest.(check bool) "NaN proc min" true
+    (raises { d with proc_delay_min = Float.nan });
+  Alcotest.(check bool) "infinite proc max" true
+    (raises { d with proc_delay_max = infinity });
   Alcotest.(check bool) "ttl" true (raises { d with ttl = 0 });
   Alcotest.(check bool) "rate" true (raises { d with pkt_rate = 0. })
 

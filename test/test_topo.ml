@@ -71,6 +71,48 @@ let test_graph_min_degree_nodes () =
   let g = Topo.Graph.create ~n:4 ~edges:[ (0, 1); (0, 2); (0, 3); (1, 2) ] in
   Alcotest.(check (list int)) "stubs" [ 3 ] (Topo.Graph.min_degree_nodes g)
 
+(* --- Bridges --- *)
+
+(* The definition [Graph.bridges] must meet: (u, v) is a bridge iff v
+   is unreachable from u once the link itself is blocked. *)
+let reference_bridges g =
+  List.filter
+    (fun (u, v) ->
+      not (Topo.Graph.reachable g ~from:u ~blocked_links:[ (u, v) ] ()).(v))
+    (Topo.Graph.edges g)
+
+let check_bridges name expected g =
+  Alcotest.(check (list (pair int int))) name expected (Topo.Graph.bridges g)
+
+let test_bridges_small () =
+  let create n edges = Topo.Graph.create ~n ~edges in
+  check_bridges "empty graph" [] (create 0 []);
+  check_bridges "single edge" [ (0, 1) ] (create 2 [ (1, 0) ]);
+  check_bridges "triangle" [] (create 3 [ (0, 1); (1, 2); (0, 2) ]);
+  check_bridges "two triangles joined by one edge" [ (2, 3) ]
+    (create 6 [ (0, 1); (1, 2); (0, 2); (2, 3); (3, 4); (4, 5); (3, 5) ]);
+  check_bridges "barbell" [ (2, 3) ] (Topo.Generators.barbell 3)
+
+let test_bridges_long_chain () =
+  let g = Topo.Generators.chain 200_000 in
+  (* a 64k-word stack holds the iterative DFS, but not the 200,000
+     nested calls a recursive DFS makes down this path *)
+  let gc = Gc.get () in
+  let bridges =
+    Fun.protect
+      ~finally:(fun () -> Gc.set gc)
+      (fun () ->
+        Gc.set { gc with stack_limit = 65_536 };
+        Topo.Graph.bridges g)
+  in
+  Alcotest.(check int) "every edge" 199_999 (List.length bridges);
+  Alcotest.(check bool) "in edge order" true (bridges = Topo.Graph.edges g)
+
+let prop_bridges_match_reference =
+  QCheck.Test.make ~name:"bridges = links whose loss separates their ends"
+    ~count:2000 ~long_factor:50 Graph_gen.arbitrary (fun g ->
+      Topo.Graph.bridges g = reference_bridges g)
+
 (* --- Generators --- *)
 
 let test_clique () =
@@ -480,6 +522,12 @@ let () =
           tc "bfs distances" test_graph_bfs;
           tc "remove edge" test_graph_remove_edge;
           tc "min-degree nodes" test_graph_min_degree_nodes;
+        ] );
+      ( "bridges",
+        [
+          tc "small graphs" test_bridges_small;
+          tc "200,000-node chain" test_bridges_long_chain;
+          QCheck_alcotest.to_alcotest prop_bridges_match_reference;
         ] );
       ( "generators",
         [
