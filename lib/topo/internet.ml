@@ -26,26 +26,20 @@ let validate p =
   if p.core_extra_edges < 0 then
     invalid_arg "Internet.generate: negative core_extra_edges"
 
-(* Pick an existing node with probability proportional to its degree,
-   excluding nodes already in [excluded]. *)
-let preferential_pick rng degrees ~upto ~excluded =
-  let total = ref 0 in
-  for v = 0 to upto - 1 do
-    if not (List.mem v excluded) then total := !total + degrees.(v)
-  done;
-  if !total = 0 then None
+(* Pick a node other than [skip] with probability proportional to its
+   degree, among the nodes below a bound whose degrees, [skip]'s left
+   out, add up to [total]: one draw, then a scan of the running sums
+   from node 0, which stops before the bound. *)
+let preferential_pick rng degrees ~total ~skip =
+  if total = 0 then None
   else begin
-    let target = Dessim.Rng.int rng !total in
-    let acc = ref 0 and found = ref (-1) in
-    let v = ref 0 in
-    while !found < 0 && !v < upto do
-      if not (List.mem !v excluded) then begin
-        acc := !acc + degrees.(!v);
-        if !acc > target then found := !v
-      end;
-      incr v
+    let target = Dessim.Rng.int rng total in
+    let acc = ref 0 and v = ref (-1) in
+    while !acc <= target do
+      incr v;
+      if !v <> skip then acc := !acc + degrees.(!v)
     done;
-    if !found < 0 then None else Some !found
+    Some !v
   end
 
 let generate ?params ~seed n =
@@ -53,12 +47,15 @@ let generate ?params ~seed n =
   if p.n <> n then invalid_arg "Internet.generate: params.n <> n";
   validate p;
   let rng = Dessim.Rng.create ~seed in
-  let degrees = Array.make n 0 in
-  let edges = ref [] in
+  let degrees = Array.make n 0 and degree_sum = ref 0 in
+  let edges = ref [] and present = Hashtbl.create (2 * n) in
+  let key u v = if u < v then (u * n) + v else (v * n) + u in
   let add_edge u v =
     edges := (u, v) :: !edges;
+    Hashtbl.replace present (key u v) ();
     degrees.(u) <- degrees.(u) + 1;
-    degrees.(v) <- degrees.(v) + 1
+    degrees.(v) <- degrees.(v) + 1;
+    degree_sum := !degree_sum + 2
   in
   (* seed triangle: the embryonic core *)
   add_edge 0 1;
@@ -71,31 +68,39 @@ let generate ?params ~seed n =
      make failover paths several hops longer than the failed primary,
      which in turn drives the multi-round path exploration behind
      T_long transients. *)
-  let pick_provider ~upto ~excluded =
+  let pick_provider ~upto ~total ~skip =
     let uniform () =
       let rec draw tries =
         if tries = 0 then None
         else
           let u = Dessim.Rng.int rng upto in
-          if List.mem u excluded then draw (tries - 1) else Some u
+          if u = skip then draw (tries - 1) else Some u
       in
       draw 16
     in
     if Dessim.Rng.float rng 1.0 < p.uniform_attach_fraction then
       match uniform () with
       | Some u -> Some u
-      | None -> preferential_pick rng degrees ~upto ~excluded
-    else preferential_pick rng degrees ~upto ~excluded
+      | None -> preferential_pick rng degrees ~total ~skip
+    else preferential_pick rng degrees ~total ~skip
   in
   for v = 3 to n - 1 do
+    (* the nodes past [v] have not joined, so the degree total below [v]
+       is the whole total less [v]'s *)
     let first =
-      match pick_provider ~upto:v ~excluded:[] with
+      match
+        pick_provider ~upto:v ~total:(!degree_sum - degrees.(v)) ~skip:(-1)
+      with
       | Some u -> u
       | None -> assert false (* seed triangle guarantees a candidate *)
     in
     add_edge v first;
     if Dessim.Rng.float rng 1.0 < p.dual_home_fraction then
-      match pick_provider ~upto:v ~excluded:[ first; v ] with
+      match
+        pick_provider ~upto:v
+          ~total:(!degree_sum - degrees.(v) - degrees.(first))
+          ~skip:first
+      with
       | Some second -> add_edge v second
       | None -> ()
   done;
@@ -106,11 +111,6 @@ let generate ?params ~seed n =
   let by_degree = Array.init n Fun.id in
   Array.sort (fun a b -> compare degrees.(b) degrees.(a)) by_degree;
   let core = Array.sub by_degree 0 (Stdlib.min core_size n) in
-  let has u v =
-    List.exists
-      (fun (a, b) -> (a = u && b = v) || (a = v && b = u))
-      !edges
-  in
   let added = ref 0 and attempts = ref 0 in
   let max_attempts = 50 * (p.core_extra_edges + 1) in
   while !added < p.core_extra_edges && !attempts < max_attempts do
@@ -118,7 +118,7 @@ let generate ?params ~seed n =
     let i = Dessim.Rng.int rng (Array.length core) in
     let j = Dessim.Rng.int rng (Array.length core) in
     let u = core.(i) and v = core.(j) in
-    if u <> v && not (has u v) then begin
+    if u <> v && not (Hashtbl.mem present (key u v)) then begin
       add_edge u v;
       incr added
     end

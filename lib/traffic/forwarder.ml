@@ -25,10 +25,6 @@ type plane = {
   cursor : int array;
       (** per node, the change last found in effect: only where a lookup
           starts scanning, so its value never changes a result *)
-  instants : float array;
-      (** the distinct change instants ascending, then [infinity];
-          epoch [j] is [\[instants.(j), instants.(j + 1))] and epoch [-1]
-          precedes every change *)
   until : float array;
       (** the hop log: a ring of [mask + 1 >= n] slots holding, per
           lookup a walk makes, the time of the node's next change after
@@ -42,8 +38,8 @@ type plane = {
 (* [sorted buf len] is [buf]'s first [len] floats (NaN-free) in
    ascending order, in a fresh array; [buf] is scratch.  A natural merge
    sort on unboxed floats ([Array.sort compare] boxes every element it
-   compares): the input is a few ascending runs, one per source or node,
-   so it makes few passes. *)
+   compares): the input is a few ascending runs, one per source, so it
+   makes few passes. *)
 let sorted (buf : float array) len =
   let starts_run i = i = 0 || buf.(i) < buf.(i - 1) in
   let k = ref 0 in
@@ -113,15 +109,6 @@ let compile fib =
       times.(i) <- c.time;
       next.(i) <- Option.value c.next_hop ~default:(-1))
     changes;
-  let sorted = sorted (Array.copy times) m in
-  let instants = Array.make (m + 1) infinity and distinct = ref 0 in
-  Array.iter
-    (fun t ->
-      if !distinct = 0 || t > instants.(!distinct - 1) then begin
-        instants.(!distinct) <- t;
-        incr distinct
-      end)
-    sorted;
   let slots = ref 1 in
   while !slots < n do
     slots := 2 * !slots
@@ -132,7 +119,6 @@ let compile fib =
     times;
     next;
     cursor = Array.init n (fun v -> first.(v) - 1);
-    instants = Array.sub instants 0 (!distinct + 1);
     until = Array.make !slots infinity;
     mask = !slots - 1;
     seen = Array.make n 0;
@@ -155,23 +141,38 @@ let[@inline] seek (a : float array) ~lo ~hi i (t : float) =
   done;
   !i
 
-(* [advance t d k] is [t] after [k] sequential [+. d] additions (none
-   when [k <= 0]), bit for bit.  The floats of the binade [\[lo, 2 lo)]
-   of a positive normal [t] are the multiples of its ulp [u], so for
-   [d >= 0] an addition [x +. d] whose sum stays below [2 lo] rounds to
-   [x + D] with [D = round (d / u) u], the same for every [x] there: [k]
-   of them give [t + k D], computed exactly.  The additions are made one
-   by one instead when [t] is not positive normal, when [d] is negative
+(* The walk's clock.  The floats of the binade [\[lo, 2 lo)] of a
+   positive normal [t] are the multiples of its ulp [u = lo 2^-52], so
+   for [d >= 0] an addition [x +. d] whose sum stays below [2 lo] rounds
+   to [x + D] with [D = round (d / u) u], the same for every [x] there.
+   [binade t] is [lo], read off [t]'s exponent bits, and [stride lo t d]
+   is [D], or NaN when [t] is not positive normal, when [d] is negative
    or NaN, when [d / u] is a half-integer (a tie rounds to the even
-   multiple, so it depends on [x]), or when the sum reaches [2 lo].
-   Inlined, so nothing is boxed. *)
+   multiple, so it depends on [x]) or when [d >= lo] (the first sum
+   leaves the binade).  [d / u] is exact, and below [2^52] so are its
+   truncation [q] and [d / u - q]. *)
+let[@inline] binade t =
+  Int64.float_of_bits
+    (Int64.logand (Int64.bits_of_float t) 0x7FF0_0000_0000_0000L)
+
+let[@inline] stride lo t d =
+  let u = lo *. 0x1p-52 in
+  let r = d /. u in
+  if t >= min_float && d >= 0. && r < 0x1p52 then begin
+    let q = Float.of_int (Float.to_int r) in
+    let f = r -. q in
+    if f < 0.5 then q *. u else if f > 0.5 then (q +. 1.) *. u else Float.nan
+  end
+  else Float.nan
+
+(* [advance t d k] is [t] after [k] sequential [+. d] additions (none
+   when [k <= 0]), bit for bit: [t + k D], computed exactly, while that
+   stays below [2 lo]; otherwise, and whenever [stride] is NaN, the
+   additions one by one.  Inlined, so nothing is boxed. *)
 let[@inline] advance t d k =
-  let u = Float.succ t -. t in
-  let lo = u *. 0x1p52 and r = d /. u in
-  let m = Float.round r in
-  let s = t +. (Float.of_int k *. (m *. u)) in
-  if k > 0 && t >= lo && d >= 0. && Float.abs (r -. m) < 0.5 && s < 2. *. lo
-  then s
+  let lo = binade t in
+  let s = t +. (Float.of_int k *. stride lo t d) in
+  if k > 0 && s < 2. *. lo then s
   else begin
     let x = ref t in
     for _ = 1 to k do
@@ -188,7 +189,7 @@ let unreachable = 2
 
 (* A walk's outcome, written in place so the packet loop allocates
    nothing: [clock] holds the send time on entry, then the fate time and
-   the last lookup time. *)
+   the earliest next change after any of the walk's lookups. *)
 type probe = { clock : float array; mutable node : int; mutable hops : int }
 
 (* One packet's walk; returns its fate code.  At node [v] and time [t]
@@ -209,11 +210,14 @@ type probe = { clock : float array; mutable node : int; mutable hops : int }
    that one logged.  Such a lap never jumps, and the log keeps only the
    last [mask + 1 >= n] lookups.  After a try, the next waits until the
    clock reaches the change that bounded it: a lap cut short by a change
-   is scanned once, not again at every hop until the change. *)
+   is scanned once, not again at every hop until the change.
+
+   The walk also keeps the earliest of all its lookups' next changes,
+   the last routeless one included, for [streams]; a jumped lookup
+   finds what the lap's lookup at its node found, so it adds nothing. *)
 let walk_packet p probe ~origin ~link_delay ~ttl ~src =
   let node = ref src and hops = ref 0 and code = ref (-1) in
-  let time = ref probe.clock.(0) in
-  let last = ref !time in
+  let time = ref probe.clock.(0) and bound = ref infinity in
   p.walks <- p.walks + 1;
   let walk = p.walks and logged = ref 0 and hold = ref neg_infinity in
   while !code < 0 do
@@ -232,10 +236,33 @@ let walk_packet p probe ~origin ~link_delay ~ttl ~src =
         done;
         hold := !change;
         (* the most laps [j] whose last lookup, [j lap - 1] hops on,
-           still falls before the change: [j] doubles while it does, so
+           still falls before the change.  The clock moves [D] a hop, so
+           that is about [((change - t) / D + 1) / lap], which one or two
+           probes confirm.  Otherwise [j] doubles while the laps fit, so
            that no probe runs far past the answer whatever the TTL, and
-           then bisects *)
+           then bisects. *)
         let most = ref ((ttl - !hops) / lap) and bisect = ref false in
+        let step = stride (binade !time) !time link_delay in
+        let e =
+          (((!change -. !time) /. if step >= 0. then step else link_delay)
+          +. 1.)
+          /. Float.of_int lap
+        in
+        let j =
+          if e >= Float.of_int !most then !most
+          else if e >= 1. then Float.to_int e
+          else 0
+        in
+        if j > 0 && not (advance !time link_delay ((j * lap) - 1) < !change)
+        then most := j - 1
+        else if
+          j < !most
+          && advance !time link_delay (((j + 1) * lap) - 1) < !change
+        then laps := j + 1
+        else begin
+          laps := j;
+          most := j
+        end;
         while !laps < !most do
           let j =
             if !bisect then !most - ((!most - !laps) / 2)
@@ -252,19 +279,18 @@ let walk_packet p probe ~origin ~link_delay ~ttl ~src =
       if !laps > 0 then begin
         (* back at [v]: the next turn checks the TTL *)
         hops := !hops + (!laps * lap);
-        last := advance !time link_delay ((!laps * lap) - 1);
-        time := !last +. link_delay
+        time := advance !time link_delay (!laps * lap)
       end
       else begin
         let lo = p.first.(v) and hi = p.first.(v + 1) in
         let c = seek p.times ~lo ~hi p.cursor.(v) !time in
         p.cursor.(v) <- c;
-        last := !time;
+        let until = if c + 1 < hi then p.times.(c + 1) else infinity in
+        if until < !bound then bound := until;
         let hop = if c < lo then -1 else p.next.(c) in
         if hop < 0 then code := unreachable
         else begin
-          p.until.(!logged land p.mask) <-
-            (if c + 1 < hi then p.times.(c + 1) else infinity);
+          p.until.(!logged land p.mask) <- until;
           p.seen.(v) <- walk;
           p.at.(v) <- !logged;
           incr logged;
@@ -276,7 +302,7 @@ let walk_packet p probe ~origin ~link_delay ~ttl ~src =
     end
   done;
   probe.clock.(0) <- !time;
-  probe.clock.(1) <- !last;
+  probe.clock.(1) <- !bound;
   probe.node <- !node;
   probe.hops <- !hops;
   !code
@@ -363,42 +389,33 @@ let streams p ~origin ~n ~link_delay ~ttl ~rate ~window:(t0, t1) ~seed
   let drops = Array.make (Array.fold_left ( + ) 0 sent) 0.
   and n_drops = ref 0 in
   let probe = { clock = Array.make 2 0.; node = 0; hops = 0 } in
-  let instants = p.instants in
-  let m = Array.length instants - 1 in
-  let epoch0 = seek instants ~lo:0 ~hi:m (-1) t0 in
   for i = 0 to k - 1 do
     let src = sources.(i) in
-    let time = ref (t0 +. phases.(i)) and epoch = ref epoch0 in
-    (* the last packet whose walk stayed inside one epoch: its epoch,
-       fate code and lookup count *)
-    let memo_epoch = ref (-2) and memo_code = ref 0 and memo_lookups = ref 0 in
+    let time = ref (t0 +. phases.(i)) in
+    (* the source's last walk: its fate code, its lookup count and the
+       earliest next change after any of its lookups *)
+    let memo_code = ref 0 and memo_lookups = ref 0 in
+    let memo_until = ref neg_infinity in
     while !time < t1 do
       let send = !time in
       if send < ratio_cutoff then incr sent_for_ratio;
-      epoch := seek instants ~lo:0 ~hi:m !epoch send;
-      (* The FIB is constant within an epoch, so a packet whose lookups
-         all fall inside the memo's epoch repeats the memo's walk node
-         for node.  Only its clock differs, and [advance] gives the
-         times the walk's additions would. *)
-      let code = ref (-1) and drop_time = ref send in
-      if !epoch = !memo_epoch then begin
-        let last = advance send link_delay (!memo_lookups - 1) in
-        if last < instants.(!epoch + 1) then begin
-          code := !memo_code;
-          drop_time := last +. link_delay
-        end
-      end;
-      if !code < 0 then begin
+      (* A packet sent later looks up the memo's nodes in turn, each at
+         or after the memo's lookup there: while its last lookup falls
+         before the memo's earliest next change, every lookup finds what
+         the memo's found and the packet meets the memo's fate.  Only
+         its clock differs, and [advance] gives the times the walk's
+         additions would. *)
+      let last = advance send link_delay (!memo_lookups - 1) in
+      let code = ref !memo_code and drop_time = ref (last +. link_delay) in
+      if not (last < !memo_until) then begin
         probe.clock.(0) <- send;
         code := walk_packet p probe ~origin ~link_delay ~ttl ~src;
         drop_time := probe.clock.(0);
-        if probe.clock.(1) < instants.(!epoch + 1) then begin
-          memo_epoch := !epoch;
-          memo_code := !code;
-          (* an unreachable walk's last lookup found no next hop *)
-          memo_lookups :=
-            if !code = unreachable then probe.hops + 1 else probe.hops
-        end
+        memo_code := !code;
+        (* an unreachable walk's last lookup found no next hop *)
+        memo_lookups :=
+          if !code = unreachable then probe.hops + 1 else probe.hops;
+        memo_until := probe.clock.(1)
       end;
       if !code = delivered then delivered_n.(i) <- delivered_n.(i) + 1
       else if !code = exhausted then begin

@@ -23,18 +23,17 @@ val pp_fate : Format.formatter -> fate -> unit
 
 type plane
 (** A compiled FIB history: per-node change times and next hops in
-    unboxed arrays, a per-node lookup cursor, the distinct change
-    instants that bound the epochs in which the whole FIB is constant,
-    and a walk's hop log.  Size O(n + changes).  Later changes to the
-    history are not seen. *)
+    unboxed arrays, a per-node lookup cursor and a walk's hop log.  Size
+    O(n + changes).  Later changes to the history are not seen. *)
 
 val compile : Netcore.Fib_history.t -> plane
 
 val advance : float -> float -> int -> float
 (** The walk's clock: [advance t d k] is [t] after [k] sequential
-    [+. d] additions (none when [k <= 0]), bit for bit.  O(1) while the
-    sums stay in the binade of a positive normal [t] and [d] is not an
-    odd multiple of half its ulp; otherwise it makes the additions. *)
+    [+. d] additions (none when [k <= 0]), bit for bit.  O(1), with no
+    call into libm, while the sums stay in the binade of a positive
+    normal [t] and [d] is not an odd multiple of half its ulp; otherwise
+    it makes the additions. *)
 
 val walk :
   plane ->
@@ -82,10 +81,12 @@ val streams :
     source (every node but [origin] below [n] by default) sends at
     [t0 + phase + k/rate] for send times in [\[t0, t1)], its phase
     drawn in source order from [seed].  Every fate equals {!walk}'s.
-    A packet that starts in the epoch of its source's last walk that
-    stayed inside one epoch, and whose own last lookup still falls
-    before that epoch ends, takes that walk's fate without a lookup;
-    its fate time is the walk's, from {!advance}.
+    A packet whose own last lookup falls before the next change, after
+    the one found, at every node its source's last walk looked up (the
+    last, routeless one included) takes that walk's fate without a
+    lookup: it looks up the same nodes, each no earlier than that walk
+    did, and finds the same changes.  Its fate time comes from
+    {!advance}.
     @raise Invalid_argument on a [rate] that is not finite and positive
     or whose interval [1 / rate] does not advance the send clock at the
     window end of largest magnitude, on [t1 < t0] or an end that is not

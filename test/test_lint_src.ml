@@ -172,8 +172,13 @@ let test_wrong_rule_does_not_suppress () =
 
 (* --- real tree units are covered by the scan --- *)
 
-(* [dune runtest] runs in _build/default/test; [dune exec] runs from
-   the invocation directory — try both spellings of each path. *)
+(* [dune runtest] runs in _build/default/test, where [..] is dune's copy
+   of the tree, refreshed for the run.  A direct run ([dune exec], or the
+   binary started from the repo root) reads the repo root, whose
+   allowlist and sources are the current ones; dune's copy of them is
+   refreshed only when a build needs it.  So sources and the allowlist
+   are looked up in the source tree first, and cmts in the build tree
+   first. *)
 let locate candidates =
   match List.find_opt Sys.file_exists candidates with
   | Some p -> p
@@ -181,7 +186,9 @@ let locate candidates =
       Alcotest.failf "none of [%s] exist (build the tree first)"
         (String.concat "; " candidates)
 
-let both p = [ Filename.concat ".." p; Filename.concat "_build/default" p ]
+let source p = [ p; Filename.concat ".." p ]
+
+let built p = [ Filename.concat "_build/default" p; Filename.concat ".." p ]
 
 (* (label, cmt, source, minimum comment-suppressed findings): the
    event queue's seq tie-breaks and the link's zero-probability test
@@ -208,10 +215,10 @@ let test_tree_units_covered () =
      comment — the same pass `dune build @lint` runs over the tree.
      Suppressed findings must register as such, not as silence: proof
      the rule actually visits the code. *)
-  let scan_source file = Suppress.scan_file (locate (both file)) in
+  let scan_source file = Suppress.scan_file (locate (source file)) in
   List.iter
     (fun (label, cmt, _src, min_suppressed) ->
-      match Analyze.analyze_cmt (locate (both cmt)) with
+      match Analyze.analyze_cmt (locate (built cmt)) with
       | Error e -> Alcotest.failf "%s: %s" label e
       | Ok (_, findings) ->
           let report =
@@ -230,7 +237,9 @@ let test_tree_units_covered () =
 let test_tree_units_not_allowlisted () =
   (* per-site suppressions only: the committed allowlist must carry no
      blanket entry for any of these files *)
-  let allows, errs = Suppress.parse_allowlist (locate (both "lint_allowlist.txt")) in
+  let allows, errs =
+    Suppress.parse_allowlist (locate (source "lint_allowlist.txt"))
+  in
   Alcotest.(check (list string)) "allowlist parses" [] errs;
   List.iter
     (fun (label, _cmt, src, _) ->
@@ -249,11 +258,12 @@ let test_allowlist_entries_used () =
   (* an entry whose findings have gone covers nothing, and would
      silently allow whatever later lands in its file: over the built
      tree, as bgpsim-lint sees it, no committed entry may go unused *)
-  let allowlist = locate (both "lint_allowlist.txt") in
+  let allowlist = locate (source "lint_allowlist.txt") in
   let root = Filename.dirname allowlist in
+  let build_root = Filename.dirname (locate (built "lib")) in
   let allows, errs = Suppress.parse_allowlist allowlist in
   Alcotest.(check (list string)) "allowlist parses" [] errs;
-  let findings, errs = Analyze.analyze_tree (Analyze.tree_cmts root) in
+  let findings, errs = Analyze.analyze_tree (Analyze.tree_cmts build_root) in
   Alcotest.(check (list string)) "tree analyses" [] errs;
   let report =
     Report.build ~findings

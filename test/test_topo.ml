@@ -253,6 +253,147 @@ let test_internet_rejects_small () =
        false
      with Invalid_argument _ -> true)
 
+(* The reference: the generator as first written, which re-sums every
+   earlier degree on each preferential pick and scans the edge list for
+   each core peering.  Same draws, same edges, in the same order. *)
+let reference_internet ?params ~seed n =
+  let p =
+    match params with None -> Topo.Internet.default_params ~n | Some p -> p
+  in
+  let rng = Dessim.Rng.create ~seed in
+  let degrees = Array.make n 0 in
+  let edges = ref [] in
+  let add_edge u v =
+    edges := (u, v) :: !edges;
+    degrees.(u) <- degrees.(u) + 1;
+    degrees.(v) <- degrees.(v) + 1
+  in
+  let preferential_pick ~upto ~excluded =
+    let total = ref 0 in
+    for v = 0 to upto - 1 do
+      if not (List.mem v excluded) then total := !total + degrees.(v)
+    done;
+    if !total = 0 then None
+    else begin
+      let target = Dessim.Rng.int rng !total in
+      let acc = ref 0 and found = ref (-1) in
+      let v = ref 0 in
+      while !found < 0 && !v < upto do
+        if not (List.mem !v excluded) then begin
+          acc := !acc + degrees.(!v);
+          if !acc > target then found := !v
+        end;
+        incr v
+      done;
+      if !found < 0 then None else Some !found
+    end
+  in
+  add_edge 0 1;
+  add_edge 1 2;
+  add_edge 0 2;
+  let pick_provider ~upto ~excluded =
+    let uniform () =
+      let rec draw tries =
+        if tries = 0 then None
+        else
+          let u = Dessim.Rng.int rng upto in
+          if List.mem u excluded then draw (tries - 1) else Some u
+      in
+      draw 16
+    in
+    if Dessim.Rng.float rng 1.0 < p.uniform_attach_fraction then
+      match uniform () with
+      | Some u -> Some u
+      | None -> preferential_pick ~upto ~excluded
+    else preferential_pick ~upto ~excluded
+  in
+  for v = 3 to n - 1 do
+    let first = Option.get (pick_provider ~upto:v ~excluded:[]) in
+    add_edge v first;
+    if Dessim.Rng.float rng 1.0 < p.dual_home_fraction then
+      match pick_provider ~upto:v ~excluded:[ first; v ] with
+      | Some second -> add_edge v second
+      | None -> ()
+  done;
+  let core_size =
+    Stdlib.max 3
+      (int_of_float (Float.round (p.core_fraction *. float_of_int n)))
+  in
+  let by_degree = Array.init n Fun.id in
+  Array.sort (fun a b -> compare degrees.(b) degrees.(a)) by_degree;
+  let core = Array.sub by_degree 0 (Stdlib.min core_size n) in
+  let has u v =
+    List.exists (fun (a, b) -> (a = u && b = v) || (a = v && b = u)) !edges
+  in
+  let added = ref 0 and attempts = ref 0 in
+  let max_attempts = 50 * (p.core_extra_edges + 1) in
+  while !added < p.core_extra_edges && !attempts < max_attempts do
+    incr attempts;
+    let i = Dessim.Rng.int rng (Array.length core) in
+    let j = Dessim.Rng.int rng (Array.length core) in
+    let u = core.(i) and v = core.(j) in
+    if u <> v && not (has u v) then begin
+      add_edge u v;
+      incr added
+    end
+  done;
+  Topo.Graph.create ~n ~edges:!edges
+
+let same_as_reference ?params ~seed n =
+  Topo.Graph.edges (Topo.Internet.generate ?params ~seed n)
+  = Topo.Graph.edges (reference_internet ?params ~seed n)
+
+let test_internet_1000_matches_reference () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool)
+        (Printf.sprintf "internet-1000, seed %d" seed)
+        true
+        (same_as_reference ~seed 1000))
+    [ 1; 2 ]
+
+(* n = 3-300 and seeds 1-6 under the default parameters, and now and
+   then every fraction at 0, its default or 1 with a core of a tenth,
+   half or all of the nodes, so that uniform draws run out and fall back
+   to the preferential pick *)
+let prop_internet_matches_reference =
+  QCheck.Test.make ~name:"internet generator = quadratic reference"
+    ~count:200 ~long_factor:25
+    QCheck.(
+      make
+        ~print:(fun (n, seed, params) ->
+          Printf.sprintf "n=%d seed=%d params=%s" n seed
+            (match params with
+            | None -> "default"
+            | Some (p : Topo.Internet.params) ->
+                Printf.sprintf "dual=%g uniform=%g core=%g extra=%d"
+                  p.dual_home_fraction p.uniform_attach_fraction
+                  p.core_fraction p.core_extra_edges))
+        Gen.(
+          int_range 3 300 >>= fun n ->
+          int_range 1 6 >>= fun seed ->
+          let fraction = oneofl [ 0.; 0.45; 1. ] in
+          frequency
+            [
+              (3, return None);
+              ( 1,
+                map
+                  (fun (((dual, uniform), core), extra) ->
+                    Some
+                      {
+                        Topo.Internet.n;
+                        dual_home_fraction = dual;
+                        uniform_attach_fraction = uniform;
+                        core_fraction = core;
+                        core_extra_edges = extra;
+                      })
+                  (pair
+                     (pair (pair fraction fraction) (oneofl [ 0.1; 0.5; 1. ]))
+                     (oneofl [ 0; n / 10; n ])) );
+            ]
+          >>= fun params -> return (n, seed, params)))
+    (fun (n, seed, params) -> same_as_reference ?params ~seed n)
+
 (* --- Graph_metrics --- *)
 
 let test_metrics_clique () =
@@ -550,6 +691,9 @@ let () =
           tc "heavy-tailed degrees" test_internet_heavy_tail;
           tc "stub nodes are minimal degree" test_internet_stub_nodes;
           tc "rejects tiny n" test_internet_rejects_small;
+          tc "internet-1000 matches the reference"
+            test_internet_1000_matches_reference;
+          QCheck_alcotest.to_alcotest prop_internet_matches_reference;
         ] );
       ( "graph-metrics",
         [
