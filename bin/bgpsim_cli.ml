@@ -117,14 +117,23 @@ let enhancement_arg =
     & info [ "enhancement" ] ~docv:"MECH"
         ~doc:"Convergence mechanism: standard, ssld, wrate, assertion or ghost-flushing.")
 
-let mrai_conv =
+(* [base] restricted to the values [ok] accepts: any other value is a
+   usage error (exit 124) that names the option, never an exception
+   from inside the run. *)
+let checked_conv base ok msg =
   let parse s =
-    match Arg.conv_parser Arg.float s with
-    | Ok v when Float.is_finite v && v >= 0. -> Ok v
-    | Ok _ -> Error (`Msg "the MRAI must be a finite number of seconds >= 0")
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg msg)
     | Error _ as e -> e
   in
-  Arg.conv (parse, Arg.conv_printer Arg.float)
+  Arg.conv (parse, Arg.conv_printer base)
+
+let finite_nonneg v = Float.is_finite v && v >= 0.
+
+let mrai_conv =
+  checked_conv Arg.float finite_nonneg
+    "the MRAI must be a finite number of seconds >= 0"
 
 let mrai_arg =
   Arg.(
@@ -144,13 +153,11 @@ let seeds_arg =
 (* One converter for every command's --jobs: a negative count is a
    usage error. *)
 let jobs_conv =
-  let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 0 -> Ok n
-    | Ok _ -> Error (`Msg "the number of jobs must be an integer >= 0")
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
+  checked_conv Arg.int (fun n -> n >= 0)
+    "the number of jobs must be an integer >= 0"
+
+let positive_int_conv =
+  checked_conv Arg.int (fun n -> n > 0) "the value must be an integer > 0"
 
 let jobs_arg =
   Arg.(
@@ -245,12 +252,7 @@ let spec_of ?scenario ?(invariants = Faults.Invariant.Off)
     invariants;
     max_events;
     max_vtime;
-    (* run and sweep print a warn report once, before the seeds run, so
-       the seeds skip it; a strict pre-flight still gates every seed *)
-    preflight =
-      (match preflight with
-      | Analysis.Preflight.Warn -> Analysis.Preflight.Off
-      | mode -> mode);
+    preflight;
   }
 
 let seed_list ~seed ~seeds = List.init (Stdlib.max 1 seeds) (fun i -> seed + i)
@@ -323,8 +325,8 @@ let profile_flag =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Profile the event engine: per-event-tag wall-clock totals and \
-           histograms, merged across all seeds/workers.")
+          "Profile the event engine: per-event-tag counts, wall-clock totals \
+           and minor words, merged across all seeds/workers.")
 
 let mesh_flag =
   Arg.(
@@ -853,7 +855,11 @@ let sweep_cmd =
 let churn_cmd =
   let epochs_arg =
     Arg.(
-      value & opt int 10
+      value
+      & opt
+          (checked_conv int (fun n -> n >= 0)
+             "the number of epochs must be an integer >= 0")
+          10
       & info [ "epochs" ] ~docv:"N"
           ~doc:
             "Total completed epochs to reach.  Absolute, so a resumed run \
@@ -861,17 +867,29 @@ let churn_cmd =
   in
   let epoch_len_arg =
     Arg.(
-      value & opt float 300.
+      value
+      & opt
+          (checked_conv float
+             (fun v -> Float.is_finite v && v > 0.)
+             "the epoch length must be a finite number of seconds > 0")
+          300.
       & info [ "epoch-len" ] ~docv:"SECONDS"
-          ~doc:"Virtual seconds each epoch's churn events are spread over.")
+          ~doc:
+            "Virtual seconds each epoch's churn events are spread over, \
+             finite and > 0.")
   in
   let flap_rate_arg =
     Arg.(
-      value & opt float 4.
+      value
+      & opt
+          (checked_conv float
+             (fun r -> 0. <= r && r <= 100.)
+             "the flap rate must lie in [0, 100]")
+          4.
       & info [ "flap-rate" ] ~docv:"RATE"
           ~doc:
-            "Mean churn events per epoch (Poisson): link flaps, session \
-             resets and origin prefix flaps.")
+            "Mean churn events per epoch (Poisson), in [0, 100]: link \
+             flaps, session resets and origin prefix flaps.")
   in
   let checkpoint_dir_arg =
     Arg.(
@@ -884,13 +902,13 @@ let churn_cmd =
   in
   let checkpoint_every_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive_int_conv 4
       & info [ "checkpoint-every" ] ~docv:"EPOCHS"
           ~doc:"Epochs between checkpoints (one is always written at the end).")
   in
   let compact_every_arg =
     Arg.(
-      value & opt int 8
+      value & opt positive_int_conv 8
       & info [ "compact-every" ] ~docv:"EPOCHS"
           ~doc:
             "Epochs between path-arena compactions (live handles re-interned \
@@ -908,12 +926,17 @@ let churn_cmd =
   let max_wall_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt
+          (some
+             (checked_conv float finite_nonneg
+                "the wall-clock budget must be a finite number of seconds \
+                 >= 0"))
+          None
       & info [ "max-wall-s" ] ~docv:"SECONDS"
           ~doc:
-            "Wall-clock budget; on expiry the run degrades gracefully \
-             (flushes, reports the last checkpoint) and exits with status \
-             wall-expired.")
+            "Wall-clock budget, finite and >= 0; on expiry the run degrades \
+             gracefully (flushes, reports the last checkpoint) and exits \
+             with status wall-expired.")
   in
   let target_events_arg =
     Arg.(
@@ -927,7 +950,7 @@ let churn_cmd =
   let stall_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int_conv) None
       & info [ "stall-epochs" ] ~docv:"N"
           ~doc:
             "Report a structured stall (and stop) after $(docv) consecutive \

@@ -37,7 +37,8 @@ let derive ~graph ~origin ~mrai ~params ?enumeration ?clique ?(epochs = 1)
   let n = Topo.Graph.n_nodes graph in
   if origin < 0 || origin >= n then
     invalid_arg "Bounds.derive: origin out of range";
-  if mrai < 0. then invalid_arg "Bounds.derive: negative mrai";
+  if not (mrai >= 0. && Float.is_finite mrai) then
+    invalid_arg "Bounds.derive: mrai must be finite and >= 0";
   if epochs < 1 then invalid_arg "Bounds.derive: epochs < 1";
   (match clique with
   | Some k when k <> n || k < 2 ->
@@ -110,31 +111,16 @@ let derive ~graph ~origin ~mrai ~params ?enumeration ?clique ?(epochs = 1)
     epochs;
   }
 
-let check ?(include_heuristic = false) t ~convergence_time ~updates_sent =
-  let enforce_time =
-    t.time_bound_s < infinity
-    && (t.time_certainty = Certified || include_heuristic)
-  in
-  let violations = ref [] in
-  if enforce_time && convergence_time > t.time_bound_s then
-    violations :=
+let check t ~convergence_time =
+  if t.time_certainty = Certified && convergence_time > t.time_bound_s then
+    [
       {
         what = "convergence-time";
         bound = t.time_bound_s;
         actual = convergence_time;
-      }
-      :: !violations;
-  if include_heuristic && t.updates_bound < infinity
-     && float_of_int updates_sent > t.updates_bound
-  then
-    violations :=
-      {
-        what = "updates-sent";
-        bound = t.updates_bound;
-        actual = float_of_int updates_sent;
-      }
-      :: !violations;
-  List.rev !violations
+      };
+    ]
+  else []
 
 let pp_count fmt x =
   (* bgpsim-lint: allow D004 — infinity is an exact sentinel, not a computed time *)

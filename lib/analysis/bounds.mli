@@ -2,9 +2,7 @@
 
     For a (topology, policy, destination, MRAI) instance the analyzer
     derives worst-case exploration bounds before any event is
-    scheduled, and {!check} compares a finished run against them —
-    {!Experiment.run} does this automatically when its pre-flight mode
-    is on, flagging any run that exceeds its certified bound.
+    scheduled, and {!check} compares a finished run against them.
 
     Derivations (DESIGN.md §11):
 
@@ -23,7 +21,7 @@
       rounds plus processing and propagation slack.  The time bound is
       [Certified] only for such monotone events on an instance whose
       path sets were fully enumerated; everything else is reported as
-      [Heuristic] and not enforced by default. *)
+      [Heuristic] and not enforced. *)
 
 type certainty = Certified | Heuristic
 
@@ -77,17 +75,14 @@ val derive :
     [epochs] (default 1) scales the time/update bounds for scripted
     scenarios.  [certified_event] (default false) asserts the event is
     a monotone-exploration family (T_down/T_up), enabling a
-    [Certified] time bound. *)
+    [Certified] time bound.
+    @raise Invalid_argument on an out-of-range [origin], an [mrai] that
+    is not finite and >= 0, [epochs < 1] or a [clique] size that does
+    not match the graph. *)
 
-val check :
-  ?include_heuristic:bool ->
-  t ->
-  convergence_time:float ->
-  updates_sent:int ->
-  violation list
-(** Violations of the bounds a finished run actually exceeded.  By
-    default only [Certified] bounds are enforced;
-    [include_heuristic = true] also reports heuristic exceedances. *)
+val check : t -> convergence_time:float -> violation list
+(** The bound a finished run exceeded: its convergence time against a
+    [Certified] time bound.  A [Heuristic] bound is never enforced. *)
 
 val certainty_name : certainty -> string
 

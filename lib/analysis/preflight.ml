@@ -17,16 +17,13 @@ let mode_of_string = function
   | s -> Error (Printf.sprintf "unknown pre-flight mode %S (off|warn|strict)" s)
 
 let analyze ?max_paths ?gr_rel ?scenario ?clique ?(certified_event = false)
-    ?epochs ~graph ~policy ~origin ~mrai ~params () =
+    ~graph ~policy ~origin ~mrai ~params () =
   let spvp = Spvp.analyze ?max_paths ?gr_rel ~graph ~policy ~origin () in
   let lint =
     Option.map (fun sc -> Lint.lint sc ~graph ~origin) scenario
   in
   let epochs =
-    match (epochs, lint) with
-    | Some e, _ -> e
-    | None, None -> 1
-    | None, Some l -> Stdlib.max 1 l.Lint.steps_analyzed
+    match lint with None -> 1 | Some l -> Stdlib.max 1 l.Lint.steps_analyzed
   in
   let bounds =
     Bounds.derive ~graph ~origin ~mrai ~params
@@ -55,13 +52,10 @@ let blocking r =
   | _ -> ());
   List.rev !stages
 
-let gate mode r =
-  match mode with
-  | Off | Warn -> ()
-  | Strict -> (
-      match blocking r with
-      | [] -> ()
-      | (stage, issues) :: _ -> raise (Rejected { stage; issues }))
+let gate r =
+  match blocking r with
+  | [] -> ()
+  | (stage, issues) :: _ -> raise (Rejected { stage; issues })
 
 (* -- JSON ---------------------------------------------------------- *)
 

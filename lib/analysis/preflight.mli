@@ -2,10 +2,11 @@
     linting ({!Lint}) and convergence-bound derivation ({!Bounds}) in
     one pass, gated by a mode the experiment runner and the CLI expose.
 
-    [Off] skips the analysis entirely; [Warn] runs it and reports but
-    never blocks; [Strict] raises {!Rejected} before the simulator
-    schedules a single event when the instance is statically doomed —
-    an [Unsafe] policy verdict or a scenario lint error. *)
+    [Off] skips the analysis entirely; [Warn] has the CLI print the
+    report but never blocks; [Strict] also makes the experiment runner
+    raise {!Rejected} before the simulator schedules a single event
+    when the instance is statically doomed — an [Unsafe] policy verdict
+    or a scenario lint error. *)
 
 type mode = Off | Warn | Strict
 
@@ -27,7 +28,6 @@ val analyze :
   ?scenario:Faults.Scenario.t ->
   ?clique:int ->
   ?certified_event:bool ->
-  ?epochs:int ->
   graph:Topo.Graph.t ->
   policy:Bgp.Policy.t ->
   origin:int ->
@@ -37,16 +37,17 @@ val analyze :
   report
 (** [clique] enables the closed-form rank bound when enumeration blows
     its budget; [certified_event] marks a monotone T_down/T_up-style
-    event (see {!Bounds.derive}).  [epochs] defaults to the scenario's
-    deterministic step count (min 1). *)
+    event (see {!Bounds.derive}).  The bounds assume one epoch per
+    deterministic scenario step the linter analyzed (at least 1). *)
 
 val blocking : report -> (string * string list) list
 (** The stages that would make [Strict] reject, with their issues:
     an [Unsafe] verdict and/or lint [Error]s.  Empty = admissible. *)
 
-val gate : mode -> report -> unit
-(** @raise Rejected in [Strict] mode when {!blocking} is non-empty
-    (first blocking stage wins); no-op otherwise. *)
+val gate : report -> unit
+(** What [Strict] does with a report.
+    @raise Rejected when {!blocking} is non-empty (first blocking stage
+    wins). *)
 
 val mode_of_string : string -> (mode, string) result
 (** ["off"] / ["warn"] / ["strict"]. *)

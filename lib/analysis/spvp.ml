@@ -123,6 +123,9 @@ let find_cycle ~n ~succ =
 
 (* --- dispute digraph --- *)
 
+(* the dispute digraph's arc budget *)
+let max_arcs = 2_000_000
+
 exception Arc_budget
 
 (* Build the digraph and look for a cycle.  Dispute arcs are encoded
@@ -132,7 +135,7 @@ exception Arc_budget
    [p_j] and at [d_(j+1)], and each [p_(j-1)] points at [d_j] — so
    [p_i] reaches exactly the extensions of every strictly less
    preferred sibling, without materializing the quadratic arc set. *)
-let dispute_digraph (enum : enumeration) ~max_arcs =
+let dispute_digraph (enum : enumeration) =
   let tbl = Hashtbl.create 1024 in
   let acc = ref [] and n_real = ref 0 in
   Array.iter
@@ -255,8 +258,7 @@ let check_gao_rexford ~graph ~rel =
 
 (* --- full analysis --- *)
 
-let analyze ?(max_paths = 50_000) ?(max_arcs = 2_000_000) ?gr_rel ~graph
-    ~policy ~origin () =
+let analyze ?(max_paths = 50_000) ?gr_rel ~graph ~policy ~origin () =
   let gr_safe =
     match gr_rel with
     | None -> false
@@ -275,7 +277,7 @@ let analyze ?(max_paths = 50_000) ?(max_arcs = 2_000_000) ?gr_rel ~graph
           (Topo.Graph.nodes graph)
       in
       let verdict =
-        match dispute_digraph enum ~max_arcs with
+        match dispute_digraph enum with
         | exception Arc_budget ->
             if gr_safe then Safe Gao_rexford_conformant
             else

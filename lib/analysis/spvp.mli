@@ -106,18 +106,18 @@ val check_gao_rexford :
 
 val analyze :
   ?max_paths:int ->
-  ?max_arcs:int ->
   ?gr_rel:(int -> int -> Bgp.Policy.relationship) ->
   graph:Topo.Graph.t ->
   policy:Bgp.Policy.t ->
   origin:int ->
   unit ->
   t
-(** Full safety analysis.  Defaults: [max_paths = 50_000],
-    [max_arcs = 2_000_000].  [gr_rel], when given, asserts that
-    [policy] is {!Bgp.Policy.gao_rexford} over that relationship
-    oracle, enabling the Gao-Rexford certificate as a fallback when
-    enumeration blows the budget or the coarse digraph is cyclic.
+(** Full safety analysis.  [max_paths] defaults to 50 000; a dispute
+    digraph of more than 2 000 000 arcs is reported [Unknown].
+    [gr_rel], when given, asserts that [policy] is
+    {!Bgp.Policy.gao_rexford} over that relationship oracle, enabling
+    the Gao-Rexford certificate as a fallback when enumeration blows
+    the budget or the coarse digraph is cyclic.
     @raise Invalid_argument on an out-of-range origin. *)
 
 val verdict_name : verdict -> string

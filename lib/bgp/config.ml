@@ -33,7 +33,8 @@ let of_enhancement ?(mrai = 30.) enhancement =
   | Ghost_flushing -> { base with ghost_flushing = true }
 
 let validate t =
-  if t.mrai < 0. then invalid_arg "Config: negative mrai";
-  if t.mrai_jitter_min <= 0. || t.mrai_jitter_min > 1. then
+  if not (t.mrai >= 0. && Float.is_finite t.mrai) then
+    invalid_arg "Config: mrai must be finite and >= 0";
+  if not (t.mrai_jitter_min > 0. && t.mrai_jitter_min <= 1.) then
     invalid_arg "Config: mrai_jitter_min outside (0, 1]";
   Option.iter Damping.validate t.damping

@@ -35,5 +35,5 @@ val of_enhancement : ?mrai:float -> Enhancement.t -> t
     active), at the given MRAI (default 30 s). *)
 
 val validate : t -> unit
-(** @raise Invalid_argument on negative [mrai] or a jitter factor
-    outside (0, 1]. *)
+(** @raise Invalid_argument on an [mrai] that is not finite and >= 0,
+    or a jitter factor outside (0, 1] (NaN included). *)

@@ -273,13 +273,9 @@ let run_phase ?until ?watchdog t ~max_events =
         else if beyond then Vtime_budget
         else if expired then Wall_budget
         else begin
-          (* unwatched, one run to the cap; watched, a chunk at a time *)
-          let stop =
-            match watchdog with
-            | Some _ -> Stdlib.min max_events (executed + chunk)
-            | None -> max_events
-          in
-          Dessim.Engine.run ?until ~max_events:stop engine;
+          Dessim.Engine.run ?until
+            ~max_events:(Stdlib.min max_events (executed + chunk))
+            engine;
           go ()
         end
   in

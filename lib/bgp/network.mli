@@ -106,8 +106,8 @@ val run_phase :
 (** Runs the engine until its queue is empty, [max_events] events have
     executed since the engine was created, the next event lies beyond
     [until], or [watchdog] expires, and says which, in that order of
-    precedence.  A watched run goes in chunks of 65 536 events and
-    notices expiry between them; the events executed are those of one
+    precedence.  The engine runs in chunks of 65 536 events, and these
+    are looked at between chunks; the events executed are those of one
     uninterrupted run.
     @raise Invalid_argument unless [max_events > 0] and [until], when
     given, is positive (NaN is rejected). *)

@@ -34,7 +34,7 @@ let termination_name = Network.termination_name
 
 let run ?(params = Netcore.Params.default) ?(config = Config.default)
     ?(max_events = 20_000_000) ?max_vtime ?(invariants = Faults.Invariant.Off)
-    ?(obs = Obs.Bus.off) ?profile ?watchdog ~graph ~origin ~event ~seed () =
+    ?(obs = Obs.Bus.off) ?profile ~graph ~origin ~event ~seed () =
   let n = Topo.Graph.n_nodes graph in
   if origin < 0 || origin >= n then
     invalid_arg "Routing_sim.run: origin out of range";
@@ -85,9 +85,7 @@ let run ?(params = Netcore.Params.default) ?(config = Config.default)
       ()
   in
   let speaker = Network.speaker net in
-  let run_phase () =
-    Network.run_phase ?until:max_vtime ?watchdog net ~max_events
-  in
+  let run_phase () = Network.run_phase ?until:max_vtime net ~max_events in
   (* Phase 1: warm-up convergence.  Inverse events warm up without
      the element they will add: Tup never originates here, Trecover
      starts with its link (and both sessions over it) down. *)

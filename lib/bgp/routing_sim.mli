@@ -51,8 +51,8 @@ type termination = Network.termination =
   | Event_budget  (** [max_events] fired first — a would-be hang *)
   | Vtime_budget  (** the next event lies beyond [max_vtime] *)
   | Wall_budget
-      (** the run's wall-clock watchdog expired mid-phase; the engine
-          stopped at an event boundary *)
+      (** a watchdog expired; a routing run arms none, so it never
+          ends this way *)
 
 val termination_name : termination -> string
 
@@ -90,7 +90,6 @@ val run :
   ?invariants:Faults.Invariant.mode ->
   ?obs:Obs.Bus.t ->
   ?profile:Obs.Profile.t ->
-  ?watchdog:Faults.Watchdog.t ->
   graph:Topo.Graph.t ->
   origin:int ->
   event:event ->
@@ -113,13 +112,8 @@ val run :
     [obs] (default {!Obs.Bus.off}) receives the full trace-event stream
     (message send/recv, FIB changes, link transitions, MRAI fires, node
     occupancy, drops) and counter bumps.  [profile], when given, is
-    handed to {!Network.create}, which feeds it per-event-tag wall time,
-    virtual time and minor words through the engine's step profiler.
-
-    [watchdog], when given, bounds the run in wall-clock time: the
-    engine runs in chunks and stops with [Wall_budget] at the first
-    event boundary past expiry.  Event execution is otherwise
-    identical to an unwatched run (same trace, same outcome).
+    handed to {!Network.create}, which feeds it per-event-tag wall time
+    and minor words through the engine's step profiler.
     @raise Invalid_argument if [origin] is out of range, the graph is
     not connected, an event link does not exist, or a scenario fails
     validation. *)

@@ -12,9 +12,9 @@
 type t = { epoch_len : float; flap_rate : float }
 
 let make ?(epoch_len = 300.) ?(flap_rate = 4.) () =
-  if epoch_len <= 0. || Float.is_nan epoch_len then
-    invalid_arg "Workload.make: epoch_len must be positive";
-  if flap_rate < 0. || flap_rate > 100. then
+  if not (epoch_len > 0. && Float.is_finite epoch_len) then
+    invalid_arg "Workload.make: epoch_len must be finite and positive";
+  if not (0. <= flap_rate && flap_rate <= 100.) then
     invalid_arg "Workload.make: flap_rate outside [0, 100]";
   { epoch_len; flap_rate }
 

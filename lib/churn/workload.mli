@@ -16,8 +16,8 @@ val make : ?epoch_len:float -> ?flap_rate:float -> unit -> t
     events over [\[0, 0.7·len)] with every paired recovery by
     [0.9·len], leaving settle time before the boundary.  [flap_rate]
     (default 4) is the Poisson mean number of churn events per epoch.
-    @raise Invalid_argument if [epoch_len <= 0] or [flap_rate]
-    is outside [\[0, 100]]. *)
+    @raise Invalid_argument unless [epoch_len] is finite and positive
+    and [flap_rate] lies in [\[0, 100]] (NaN does not). *)
 
 val epoch_len : t -> float
 val flap_rate : t -> float

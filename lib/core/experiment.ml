@@ -26,7 +26,6 @@ type spec = {
   invariants : Faults.Invariant.mode;
   max_events : int;
   max_vtime : float option;
-  max_wall_s : float option;
   preflight : Analysis.Preflight.mode;
 }
 
@@ -42,7 +41,6 @@ let default_spec topology =
     invariants = Faults.Invariant.Off;
     max_events = 20_000_000;
     max_vtime = None;
-    max_wall_s = None;
     preflight = Analysis.Preflight.Off;
   }
 
@@ -168,21 +166,6 @@ let resolve spec =
   | Tdown | Tup | Tlong | Trecover | Tlong_link _ | Trecover_link _ -> ());
   resolved
 
-(* Pre-flight inputs a spec statically determines: the clique hint
-   enables the closed-form rank bound, and only the monotone
-   T_down/T_up families yield a [Certified] time bound. *)
-let preflight_hints spec =
-  let clique =
-    match spec.topology with Clique n when n >= 2 -> Some n | _ -> None
-  in
-  let certified_event =
-    match spec.event with
-    | Tdown | Tup -> true
-    | Tlong | Tlong_link _ | Trecover | Trecover_link _ | Scenario _ -> false
-  in
-  let scenario = match spec.event with Scenario s -> Some s | _ -> None in
-  (clique, certified_event, scenario)
-
 let analyze ?max_paths ?policy ?gr_rel spec =
   let graph, origin, _ = resolve_raw spec in
   let policy =
@@ -192,7 +175,18 @@ let analyze ?max_paths ?policy ?gr_rel spec =
         (Bgp.Config.of_enhancement ~mrai:spec.mrai spec.enhancement)
           .Bgp.Config.policy
   in
-  let clique, certified_event, scenario = preflight_hints spec in
+  (* what the spec statically determines: the clique hint enables the
+     closed-form rank bound, and only the monotone T_down/T_up families
+     yield a [Certified] time bound *)
+  let clique =
+    match spec.topology with Clique n when n >= 2 -> Some n | _ -> None
+  in
+  let certified_event =
+    match spec.event with
+    | Tdown | Tup -> true
+    | Tlong | Tlong_link _ | Trecover | Trecover_link _ | Scenario _ -> false
+  in
+  let scenario = match spec.event with Scenario s -> Some s | _ -> None in
   Analysis.Preflight.analyze ?max_paths ?gr_rel ?scenario ?clique
     ~certified_event ~graph ~policy ~origin ~mrai:spec.mrai
     ~params:spec.params ()
@@ -203,34 +197,7 @@ type run = {
   replay : Traffic.Replay.result;
   loops : Loopscan.Scanner.report;
   metrics : Metrics.Run_metrics.t;
-  analysis : Analysis.Preflight.report option;
-  bound_violations : Analysis.Bounds.violation list;
 }
-
-type status =
-  | Completed
-  | Non_converged of {
-      termination : Bgp.Routing_sim.termination;
-      events_executed : int;
-      last_vtime : float;
-    }
-
-let status (outcome : Bgp.Routing_sim.outcome) =
-  if outcome.converged then Completed
-  else
-    Non_converged
-      {
-        termination = outcome.termination;
-        events_executed = outcome.events_executed;
-        last_vtime = outcome.convergence_end;
-      }
-
-let status_name = function
-  | Completed -> "completed"
-  | Non_converged { termination; events_executed; last_vtime } ->
-      Printf.sprintf "non-converged (%s after %d events, vtime %.1f)"
-        (Bgp.Routing_sim.termination_name termination)
-        events_executed last_vtime
 
 (* Analysis fallbacks for runs cut off by a budget: a truncated FIB
    history can leave the replay window degenerate or the scanner's
@@ -258,49 +225,25 @@ let empty_loops : Loopscan.Scanner.report =
     max_concurrent = 0;
   }
 
-let run ?obs ?profile ?watchdog spec =
+let run ?obs ?profile spec =
   let wall_start = Unix.gettimeofday () in
-  (* One watchdog covers the whole run — simulation AND the post-run
-     analysis passes, which previously had no budget at all (a wedged
-     replay could hang past every event/vtime limit).  Tests inject
-    [watchdog] with a fake clock; normal callers get one armed from
-    [spec.max_wall_s]. *)
-  let wd =
-    match watchdog with
-    | Some wd -> wd
-    | None -> Faults.Watchdog.create ?max_wall_s:spec.max_wall_s ()
-  in
   let graph, origin, event = resolve_raw spec in
-  let config = Bgp.Config.of_enhancement ~mrai:spec.mrai spec.enhancement in
-  let analysis =
-    match spec.preflight with
-    | Analysis.Preflight.Off -> None
-    | Analysis.Preflight.Warn | Analysis.Preflight.Strict ->
-        let clique, certified_event, scenario = preflight_hints spec in
-        let report =
-          Analysis.Preflight.analyze ?scenario ?clique ~certified_event
-            ~graph ~policy:config.Bgp.Config.policy ~origin ~mrai:spec.mrai
-            ~params:spec.params ()
-        in
-        (* in Strict mode a statically-doomed instance is rejected here,
-           before a single event is scheduled *)
-        Analysis.Preflight.gate spec.preflight report;
-        Some report
-  in
+  (* a strict pre-flight rejects a statically doomed instance here,
+     before a single event is scheduled *)
+  (match spec.preflight with
+  | Analysis.Preflight.Strict -> Analysis.Preflight.gate (analyze spec)
+  | Analysis.Preflight.Off | Analysis.Preflight.Warn -> ());
   let outcome =
-    Bgp.Routing_sim.run ~params:spec.params ~config
+    Bgp.Routing_sim.run ~params:spec.params
+      ~config:(Bgp.Config.of_enhancement ~mrai:spec.mrai spec.enhancement)
       ~max_events:spec.max_events ?max_vtime:spec.max_vtime
-      ~invariants:spec.invariants ?obs ?profile ~watchdog:wd ~graph ~origin
-      ~event ~seed:spec.seed ()
+      ~invariants:spec.invariants ?obs ?profile ~graph ~origin ~event
+      ~seed:spec.seed ()
   in
   let fib = Netcore.Trace.fib outcome.trace in
   let window_end = outcome.convergence_end +. spec.replay_tail in
-  (* Each analysis phase re-checks the watchdog before starting: a run
-     that exhausted its wall budget (or does so between phases) skips
-     straight to the fallback instead of piling analysis time on top. *)
   let tolerant f fallback =
-    if Faults.Watchdog.expired wd then fallback
-    else if outcome.converged then f ()
+    if outcome.converged then f ()
     else try f () with Invalid_argument _ -> fallback
   in
   let replay =
@@ -323,15 +266,6 @@ let run ?obs ?profile ?watchdog spec =
       ~wall_clock_s:(Unix.gettimeofday () -. wall_start)
       ~outcome ~replay ~loops ~loops_until:window_end ()
   in
-  let bound_violations =
-    match analysis with
-    | Some report when outcome.converged && not (Faults.Watchdog.expired wd)
-      ->
-        Analysis.Bounds.check report.Analysis.Preflight.bounds
-          ~convergence_time:(Bgp.Routing_sim.convergence_time outcome)
-          ~updates_sent:outcome.updates_after_fail
-    | Some _ | None -> []
-  in
-  { spec; outcome; replay; loops; metrics; analysis; bound_violations }
+  { spec; outcome; replay; loops; metrics }
 
 let metrics spec = (run spec).metrics

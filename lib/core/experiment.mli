@@ -56,25 +56,20 @@ type spec = {
   max_events : int;  (** per-run event budget (hang protection) *)
   max_vtime : float option;
       (** per-run virtual-time budget; [None] = unbounded *)
-  max_wall_s : float option;
-      (** per-run wall-clock budget covering the simulation {e and}
-          the post-run analyses; [None] = unbounded.  An expired run
-          terminates with {!Bgp.Routing_sim.Wall_budget} and its
-          remaining analysis phases degrade to empty fallbacks. *)
   preflight : Analysis.Preflight.mode;
-      (** static pre-flight analysis before the simulator starts:
-          [Off] (default) skips it, [Warn] attaches the report to the
-          run, [Strict] additionally raises
-          {!Analysis.Preflight.Rejected} — before a single event is
-          scheduled — when the instance is statically doomed (an
-          [Unsafe] policy verdict or a scenario lint error such as a
-          dangling link reference) *)
+      (** [Strict] runs the static pre-flight ({!analyze}) before the
+          simulator starts and raises {!Analysis.Preflight.Rejected} —
+          before a single event is scheduled — when the instance is
+          statically doomed (an [Unsafe] policy verdict or a scenario
+          lint error such as a dangling link reference).  [Off]
+          (default) and [Warn] run no analysis: a caller that wants
+          the report calls {!analyze} itself, as the CLI does. *)
 }
 
 val default_spec : topology -> spec
 (** [T_down], standard BGP, MRAI 30 s, seed 1, paper parameters,
     2 s replay tail, invariants off, 20 M event budget, no
-    virtual-time or wall-clock budget, pre-flight off. *)
+    virtual-time budget, pre-flight off. *)
 
 val topology_name : topology -> string
 
@@ -109,40 +104,17 @@ val analyze :
     Clique topologies get the closed-form rank bound, and [Tdown]/[Tup]
     a [Certified] time bound. *)
 
-(** Structured convergence status of a finished run: a run that hit an
-    event or virtual-time budget is reported as [Non_converged] instead
-    of hanging forever. *)
-type status =
-  | Completed
-  | Non_converged of {
-      termination : Bgp.Routing_sim.termination;
-      events_executed : int;
-      last_vtime : float;
-    }
-
-val status : Bgp.Routing_sim.outcome -> status
-
-val status_name : status -> string
-
+(** A run's convergence status is its outcome's: [converged], and the
+    [termination] that says which budget, if any, stopped it. *)
 type run = {
   spec : spec;
   outcome : Bgp.Routing_sim.outcome;
   replay : Traffic.Replay.result;
   loops : Loopscan.Scanner.report;
   metrics : Metrics.Run_metrics.t;
-  analysis : Analysis.Preflight.report option;
-      (** the pre-flight report; [None] when [spec.preflight = Off] *)
-  bound_violations : Analysis.Bounds.violation list;
-      (** certified static bounds the finished run exceeded — always
-          [] when the pre-flight was off or the run did not converge *)
 }
 
-val run :
-  ?obs:Obs.Bus.t ->
-  ?profile:Obs.Profile.t ->
-  ?watchdog:Faults.Watchdog.t ->
-  spec ->
-  run
+val run : ?obs:Obs.Bus.t -> ?profile:Obs.Profile.t -> spec -> run
 (** Runs the full pipeline.  [obs] (default {!Obs.Bus.off}) is threaded
     through the routing simulation {e and} the loop scanner, so a trace
     carries both live protocol events and post-hoc loop lifecycles;
@@ -150,13 +122,8 @@ val run :
     or budget-exhausted — yields timed metrics: on non-converged runs
     the replay/scan analyses fall back to empty results if the
     truncated history cannot be analyzed.
-
-    [watchdog] overrides the wall-clock watchdog the run would arm
-    from [spec.max_wall_s] — the deterministic-test hook (inject one
-    with a fake clock).  The watchdog covers the simulation and every
-    post-run analysis phase: each phase re-checks expiry before
-    starting and degrades to its empty fallback once the budget is
-    gone. *)
+    @raise Analysis.Preflight.Rejected under a [Strict] pre-flight, as
+    described at [spec.preflight]. *)
 
 val metrics : spec -> Metrics.Run_metrics.t
 (** [metrics spec = (run spec).metrics]. *)

@@ -19,8 +19,7 @@ type t = {
   clock : clock;
   mutable executed : int;
   mutable clock_monitor : (old_time:float -> new_time:float -> unit) option;
-  mutable profiler :
-    (time:float -> tag:string option -> run:(unit -> unit) -> unit) option;
+  mutable profiler : (tag:string option -> run:(unit -> unit) -> unit) option;
 }
 
 let create ?(now = 0.) () =
@@ -83,7 +82,7 @@ let rec step t =
         t.executed <- t.executed + 1;
         (match t.profiler with
         | None -> ev.action ()
-        | Some p -> p ~time ~tag:ev.tag ~run:ev.action);
+        | Some p -> p ~tag:ev.tag ~run:ev.action);
         true
 
 (* Earliest live (non-cancelled) event time.  Cancelled heads are dead

@@ -76,11 +76,11 @@ val set_clock_monitor : t -> (old_time:float -> new_time:float -> unit) -> unit
     outside; the engine itself already enforces it structurally. *)
 
 val set_step_profiler :
-  t -> (time:float -> tag:string option -> run:(unit -> unit) -> unit) -> unit
+  t -> (tag:string option -> run:(unit -> unit) -> unit) -> unit
 (** Installs a wrapper around event execution: instead of calling the
     event action directly, [step] calls the profiler with the event's
-    fire [time], its schedule-site [tag], and the action as [run].  The
-    profiler MUST call [run ()] exactly once.  Keeps the engine free of
+    schedule-site [tag] and the action as [run].  The profiler MUST
+    call [run ()] exactly once.  Keeps the engine free of
     wall-clock dependencies — the caller supplies the timing. *)
 
 val events_executed : t -> int

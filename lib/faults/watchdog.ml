@@ -2,9 +2,9 @@
 
    A watchdog is armed at creation and answers "has the budget
    expired?" from then on.  It deliberately has no preemption: callers
-   poll [expired] at natural safepoints (between engine chunks, before
-   each post-run analysis phase) so that expiry always lands at a
-   consistent state, never mid-event.
+   poll [expired] at natural safepoints (between engine chunks, at
+   epoch boundaries) so that expiry always lands at a consistent
+   state, never mid-event.
 
    The clock is injectable so tests can drive expiry deterministically
    without sleeping. *)
@@ -21,14 +21,7 @@ let create ?clock ?max_wall_s () =
 
 let unlimited = create ~clock:(fun () -> 0.) ()
 
-let elapsed_s t = t.clock () -. t.started
-
 let expired t =
   match t.max_wall_s with
   | None -> false
-  | Some budget -> elapsed_s t >= budget
-
-let remaining_s t =
-  match t.max_wall_s with
-  | None -> None
-  | Some budget -> Some (Float.max 0. (budget -. elapsed_s t))
+  | Some budget -> t.clock () -. t.started >= budget

@@ -2,8 +2,8 @@
 
     Complements the engine's event/vtime budgets with real-time
     limits.  Cooperative, not preemptive: the simulation polls
-    {!expired} at safepoints (between engine chunks, before each
-    post-run analysis phase), so expiry always lands at a consistent
+    {!expired} at safepoints (between engine chunks, at the churn
+    driver's epoch boundaries), so expiry always lands at a consistent
     state.  The clock is injectable for deterministic tests. *)
 
 type t
@@ -19,9 +19,3 @@ val unlimited : t
 val expired : t -> bool
 (** [true] once elapsed wall time has reached the budget.  Always
     [false] without a [max_wall_s]. *)
-
-val elapsed_s : t -> float
-(** Wall seconds since creation, per the watchdog's clock. *)
-
-val remaining_s : t -> float option
-(** Budget remaining (clamped at 0), or [None] if unlimited. *)

@@ -49,14 +49,6 @@ let to_list t =
   List.init (Array.length t.counts) (fun i ->
       (bucket_range t i, t.counts.(i)))
 
-let merge_into ~src ~dst =
-  if
-    src.lo <> dst.lo || src.hi <> dst.hi
-    || Array.length src.counts <> Array.length dst.counts
-  then invalid_arg "Histogram.merge_into: geometry mismatch";
-  Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
-  dst.total <- dst.total + src.total
-
 let pp fmt t =
   List.iter
     (fun ((lo, hi), c) ->

@@ -25,10 +25,5 @@ val bucket_range : t -> int -> float * float
 val to_list : t -> ((float * float) * int) list
 (** All buckets with their bounds and counts, in order. *)
 
-val merge_into : src:t -> dst:t -> unit
-(** Add [src]'s bucket counts into [dst].  Both histograms must have the
-    same [lo]/[hi]/bucket count.
-    @raise Invalid_argument on geometry mismatch. *)
-
 val pp : Format.formatter -> t -> unit
 (** Renders non-empty buckets as one [lo..hi: count] line each. *)

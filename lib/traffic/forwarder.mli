@@ -77,7 +77,8 @@ val streams :
   ?sources:int list ->
   unit ->
   tally
-(** The packet loop behind {!Replay.run} and {!Per_source.run}: each
+(** The packet loop behind {!Replay.run}, with the fates also counted
+    per source (the paper's footnote 4 reads them there).  Each
     source (every node but [origin] below [n] by default) sends at
     [t0 + phase + k/rate] for send times in [\[t0, t1)], its phase
     drawn in source order from [seed].  Every fate equals {!walk}'s.

@@ -209,6 +209,19 @@ let test_clique_rank_closed_form () =
     (A.Bounds.clique_rank_bound 25 > 1e22
     && A.Bounds.clique_rank_bound 25 < infinity)
 
+let test_derive_rejects_bad_mrai () =
+  let graph = Topo.Generators.clique 4 in
+  List.iter
+    (fun mrai ->
+      Alcotest.(check bool) (Printf.sprintf "mrai %g" mrai) true
+        (match
+           A.Bounds.derive ~graph ~origin:0 ~mrai ~params:Netcore.Params.default
+             ()
+         with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ -1.; nan; infinity ]
+
 let test_clique_closed_form_matches_enumeration () =
   List.iter
     (fun n ->
@@ -244,24 +257,22 @@ let test_bounds_check_enforces_certified_only () =
   Alcotest.(check (list string)) "within bound = no violations" []
     (List.map
        (fun (v : A.Bounds.violation) -> v.what)
-       (A.Bounds.check certified ~convergence_time:1. ~updates_sent:10));
+       (A.Bounds.check certified ~convergence_time:1.));
   Alcotest.(check (list string)) "blown certified bound flagged"
     [ "convergence-time" ]
     (List.map
        (fun (v : A.Bounds.violation) -> v.what)
        (A.Bounds.check certified
-          ~convergence_time:(certified.time_bound_s +. 1.)
-          ~updates_sent:10));
+          ~convergence_time:(certified.time_bound_s +. 1.)));
   let heuristic =
     A.Bounds.derive ~graph ~origin:0 ~mrai:30. ~params:Netcore.Params.default
       ~enumeration ~certified_event:false ()
   in
-  Alcotest.(check (list string)) "heuristic bound not enforced by default" []
+  Alcotest.(check (list string)) "heuristic bound not enforced" []
     (List.map
        (fun (v : A.Bounds.violation) -> v.what)
        (A.Bounds.check heuristic
-          ~convergence_time:(heuristic.time_bound_s +. 1.)
-          ~updates_sent:10))
+          ~convergence_time:(heuristic.time_bound_s +. 1.)))
 
 (* --- experiment wiring --- *)
 
@@ -304,24 +315,26 @@ let test_experiment_strict_rejects_dangling_scenario () =
         (List.exists (fun m -> contains m "(0,9)") issues)
   | _ -> Alcotest.fail "expected Rejected before any event was scheduled"
 
-let test_experiment_warn_attaches_report_and_bound_holds () =
-  let spec =
-    {
-      (Bgpsim.Experiment.default_spec (Bgpsim.Experiment.Clique 5)) with
-      preflight = A.Preflight.Warn;
-    }
-  in
+(* [spec]'s pre-flight report, its run, and the bounds that run's
+   convergence time violated. *)
+let run_against_bounds spec =
+  let report = Bgpsim.Experiment.analyze spec in
   let run = Bgpsim.Experiment.run spec in
-  (match run.analysis with
-  | None -> Alcotest.fail "warn mode must attach the report"
-  | Some r ->
-      Alcotest.(check string) "certified bound" "certified"
-        (A.Bounds.certainty_name r.bounds.time_certainty));
+  ( report,
+    run,
+    A.Bounds.check report.bounds
+      ~convergence_time:(Bgp.Routing_sim.convergence_time run.outcome) )
+
+let test_experiment_clique_run_within_certified_bound () =
+  let report, run, violations =
+    run_against_bounds
+      (Bgpsim.Experiment.default_spec (Bgpsim.Experiment.Clique 5))
+  in
+  Alcotest.(check string) "certified bound" "certified"
+    (A.Bounds.certainty_name report.bounds.time_certainty);
   Alcotest.(check bool) "run converged" true run.outcome.converged;
   Alcotest.(check (list string)) "no certified bound violated" []
-    (List.map
-       (fun (v : A.Bounds.violation) -> v.what)
-       run.bound_violations)
+    (List.map (fun (v : A.Bounds.violation) -> v.what) violations)
 
 let test_sweep_robust_counts_rejections () =
   let spec =
@@ -375,18 +388,16 @@ let prop_safe_configs_converge_within_bound =
           with
           seed;
           mrai = 5.;
-          preflight = A.Preflight.Warn;
         }
       in
-      let report = Bgpsim.Experiment.analyze spec in
+      let report, run, violations = run_against_bounds spec in
       (* shortest-path is always safe: the analyzer must certify it *)
       (match report.spvp.verdict with
       | A.Spvp.Safe _ -> ()
       | v ->
           QCheck.Test.fail_reportf "expected Safe, got %s"
             (A.Spvp.verdict_name v));
-      let run = Bgpsim.Experiment.run spec in
-      run.outcome.converged && run.bound_violations = [])
+      run.outcome.converged && violations = [])
 
 let () =
   Alcotest.run "analysis"
@@ -423,13 +434,16 @@ let () =
             test_clique_closed_form_matches_enumeration;
           tc "certified-only enforcement"
             test_bounds_check_enforces_certified_only;
+          tc "derive rejects a negative, NaN or infinite MRAI"
+            test_derive_rejects_bad_mrai;
         ] );
       ( "experiment",
         [
           tc "cliques certified" test_experiment_analyze_certifies_cliques;
           tc "strict rejects dangling scenario"
             test_experiment_strict_rejects_dangling_scenario;
-          tc "warn attaches report" test_experiment_warn_attaches_report_and_bound_holds;
+          tc "clique run within its certified bound"
+            test_experiment_clique_run_within_certified_bound;
           tc "robust sweep counts rejections" test_sweep_robust_counts_rejections;
         ] );
       ( "properties",

@@ -267,10 +267,18 @@ let test_config_validation () =
   in
   Alcotest.(check bool) "negative mrai" true
     (raises { Bgp.Config.default with mrai = -1. });
+  Alcotest.(check bool) "NaN mrai" true
+    (raises { Bgp.Config.default with mrai = nan });
+  Alcotest.(check bool) "infinite mrai" true
+    (raises { Bgp.Config.default with mrai = infinity });
   Alcotest.(check bool) "jitter 0" true
     (raises { Bgp.Config.default with mrai_jitter_min = 0. });
   Alcotest.(check bool) "jitter > 1" true
-    (raises { Bgp.Config.default with mrai_jitter_min = 1.5 })
+    (raises { Bgp.Config.default with mrai_jitter_min = 1.5 });
+  Alcotest.(check bool) "NaN jitter" true
+    (raises { Bgp.Config.default with mrai_jitter_min = nan });
+  Alcotest.(check bool) "mrai 0 and jitter 1 accepted" false
+    (raises { Bgp.Config.default with mrai = 0.; mrai_jitter_min = 1. })
 
 (* --- Mrai --- *)
 

@@ -85,6 +85,24 @@ let test_run_twice_identical () =
     b.loop_totals.Loopscan.Scanner.loops_started;
   Alcotest.(check bool) "completed" true (a.status = Churn.Driver.Completed)
 
+let test_workload_validation () =
+  let raises name f =
+    Alcotest.(check bool) name true
+      (match (f () : Churn.Workload.t) with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  raises "flap_rate nan" (fun () -> Churn.Workload.make ~flap_rate:nan ());
+  raises "flap_rate inf" (fun () ->
+      Churn.Workload.make ~flap_rate:infinity ());
+  raises "flap_rate -1" (fun () -> Churn.Workload.make ~flap_rate:(-1.) ());
+  raises "epoch_len inf" (fun () ->
+      Churn.Workload.make ~epoch_len:infinity ());
+  raises "epoch_len nan" (fun () -> Churn.Workload.make ~epoch_len:nan ());
+  raises "epoch_len 0" (fun () -> Churn.Workload.make ~epoch_len:0. ());
+  Alcotest.(check (float 0.)) "flap_rate 100 accepted" 100.
+    (Churn.Workload.flap_rate (Churn.Workload.make ~flap_rate:100. ()))
+
 let test_workload_deterministic_and_paired () =
   let graph = graph_of 20 in
   let gen () =
@@ -548,6 +566,9 @@ let () =
           tc "workload schedule deterministic and paired"
             test_workload_deterministic_and_paired;
         ] );
+      ( "workload",
+        [ tc "rejects NaN, infinite and out-of-range parameters"
+            test_workload_validation ] );
       ( "checkpoint/resume",
         [
           tc "kill + resume = uninterrupted" test_resume_matches_uninterrupted;

@@ -242,12 +242,10 @@ let non_converged_spec =
 
 let test_non_converged_still_timed () =
   let r = Experiment.run non_converged_spec in
-  (match Experiment.status r.outcome with
-  | Experiment.Non_converged { termination; events_executed; _ } ->
-      Alcotest.(check bool) "event budget hit" true
-        (termination = Bgp.Routing_sim.Event_budget);
-      Alcotest.(check bool) "budget respected" true (events_executed <= 50)
-  | Experiment.Completed -> Alcotest.fail "expected Non_converged");
+  Alcotest.(check bool) "event budget hit" true
+    (r.outcome.termination = Bgp.Routing_sim.Event_budget);
+  Alcotest.(check bool) "budget respected" true
+    (r.outcome.events_executed <= 50);
   Alcotest.(check bool) "not converged" false r.metrics.converged;
   (* every exit must yield timed metrics: a budget-exhausted run still
      reports the wall-clock it actually burned *)
@@ -263,11 +261,8 @@ let test_non_converged_vtime_budget_timed () =
   Alcotest.(check bool) "not converged" false r.metrics.converged;
   Alcotest.(check bool) "wall clock measured" true
     (r.metrics.wall_clock_s > 0.);
-  match Experiment.status r.outcome with
-  | Experiment.Non_converged { termination; _ } ->
-      Alcotest.(check bool) "vtime budget hit" true
-        (termination = Bgp.Routing_sim.Vtime_budget)
-  | Experiment.Completed -> Alcotest.fail "expected Non_converged"
+  Alcotest.(check bool) "vtime budget hit" true
+    (r.outcome.termination = Bgp.Routing_sim.Vtime_budget)
 
 let test_non_converged_survives_analysis () =
   (* a truncated FIB history must not abort the pipeline at any
@@ -282,72 +277,31 @@ let test_non_converged_survives_analysis () =
         ((not r.metrics.converged) && r.metrics.wall_clock_s > 0.))
     [ 10; 50; 200 ]
 
-(* --- wall-clock watchdog (spec.max_wall_s) --- *)
+(* --- Termination: the outcome's fields are the run's status --- *)
 
-let test_wall_budget_exhausted_at_start () =
-  (* a zero budget expires before the first event: structured
-     [Wall_budget] termination, empty analyses, no exception *)
-  let spec =
-    { (Experiment.default_spec (Experiment.Clique 8)) with
-      max_wall_s = Some 0. }
-  in
-  let r = Experiment.run spec in
-  (match Experiment.status r.outcome with
-  | Experiment.Non_converged { termination; _ } ->
-      Alcotest.(check bool) "wall budget hit" true
-        (termination = Bgp.Routing_sim.Wall_budget)
-  | Experiment.Completed -> Alcotest.fail "expected Non_converged");
-  Alcotest.(check bool) "not converged" false r.metrics.converged;
-  Alcotest.(check int) "loop scan degraded to empty" 0
-    (List.length r.loops.loops);
-  Alcotest.(check int) "replay degraded to empty" 0 r.replay.sent;
-  Alcotest.(check (list string)) "no bound violations claimed" []
-    (List.map
-       (fun (v : Analysis.Bounds.violation) -> v.what)
-       r.bound_violations)
+let converged_spec =
+  { (Experiment.default_spec (Experiment.Clique 5)) with mrai = 5. }
 
-let test_wall_budget_expiring_after_sim_skips_analysis () =
-  (* a fake clock that jumps past the budget once the simulation has
-     drained: the run itself completes, but replay and loop scan
-     re-check expiry and degrade to their empty fallbacks *)
-  let fib_changes = ref 0 in
-  let sink =
-    Obs.Sink.fn (fun ev ->
-        match ev with Obs.Event.Fib_change _ -> incr fib_changes | _ -> ())
-  in
-  let obs = Obs.Bus.create ~sink () in
-  let clock () = if !fib_changes > 0 then 1e9 else 0. in
-  let wd = Faults.Watchdog.create ~clock ~max_wall_s:1. () in
-  let spec = Experiment.default_spec (Experiment.Clique 6) in
-  let r = Experiment.run ~obs ~watchdog:wd spec in
-  Alcotest.(check bool) "warm-up produced FIB changes" true (!fib_changes > 0);
-  (match Experiment.status r.outcome with
-  | Experiment.Non_converged { termination; _ } ->
-      Alcotest.(check bool) "wall budget termination" true
-        (termination = Bgp.Routing_sim.Wall_budget)
-  | Experiment.Completed -> Alcotest.fail "expected Non_converged");
-  Alcotest.(check int) "loop scan skipped" 0 (List.length r.loops.loops);
-  Alcotest.(check int) "replay skipped" 0 r.replay.sent;
-  Alcotest.(check bool) "wall clock still measured" true
-    (r.metrics.wall_clock_s > 0.)
+let test_converged_run_drained () =
+  let r = Experiment.run converged_spec in
+  Alcotest.(check bool) "queue drained" true
+    (r.outcome.termination = Bgp.Routing_sim.Drained);
+  Alcotest.(check bool) "outcome converged" true r.outcome.converged;
+  Alcotest.(check bool) "metrics agree" true r.metrics.converged;
+  Alcotest.(check bool) "within the event budget" true
+    (r.outcome.events_executed <= converged_spec.max_events);
+  Alcotest.(check bool) "converges after the failure" true
+    (r.outcome.convergence_end >= r.outcome.t_fail)
 
-let test_generous_wall_budget_is_transparent () =
-  (* a watchdog that never fires must not perturb the run: metrics
-     match the unwatched baseline exactly *)
-  let spec =
-    { (Experiment.default_spec (Experiment.Clique 6)) with mrai = 5. }
-  in
-  let base = Experiment.run spec in
-  let watched = Experiment.run { spec with max_wall_s = Some 1e6 } in
-  Alcotest.(check bool) "converged" true watched.metrics.converged;
-  Alcotest.(check (float 0.)) "convergence time"
-    base.metrics.convergence_time watched.metrics.convergence_time;
-  Alcotest.(check int) "updates" base.metrics.updates_sent
-    watched.metrics.updates_sent;
-  Alcotest.(check int) "packets" base.metrics.packets_sent
-    watched.metrics.packets_sent;
-  Alcotest.(check int) "loops" (List.length base.loops.loops)
-    (List.length watched.loops.loops)
+let test_exact_event_budget_drained () =
+  (* a budget equal to the events a converged run needs is not
+     exhausted: the queue empties on its last event *)
+  let needed = (Experiment.run converged_spec).outcome.events_executed in
+  let r = Experiment.run { converged_spec with max_events = needed } in
+  Alcotest.(check bool) "queue drained" true
+    (r.outcome.termination = Bgp.Routing_sim.Drained);
+  Alcotest.(check bool) "converged" true r.metrics.converged;
+  Alcotest.(check int) "same event count" needed r.outcome.events_executed
 
 (* --- Sweep --- *)
 
@@ -501,13 +455,10 @@ let () =
           tc "non-converged survives analysis"
             test_non_converged_survives_analysis;
         ] );
-      ( "wall budget",
+      ( "termination",
         [
-          tc "exhausted at start" test_wall_budget_exhausted_at_start;
-          tc "expiry after sim skips analysis"
-            test_wall_budget_expiring_after_sim_skips_analysis;
-          tc "generous budget is transparent"
-            test_generous_wall_budget_is_transparent;
+          tc "converged run drained" test_converged_run_drained;
+          tc "exact event budget drained" test_exact_event_budget_drained;
         ] );
       ( "sweep",
         [

@@ -487,8 +487,7 @@ let test_experiment_scenario_spec () =
     (Bgpsim.Experiment.event_name spec.event);
   let r = Bgpsim.Experiment.run spec in
   Alcotest.(check bool) "converged" true r.metrics.converged;
-  Alcotest.(check bool) "status completed" true
-    (Bgpsim.Experiment.status r.outcome = Bgpsim.Experiment.Completed)
+  Alcotest.(check bool) "outcome converged" true r.outcome.converged
 
 let test_experiment_storm_is_non_converged () =
   let scenario = parse_ok "storm@0:0-1,2,5000" in
@@ -502,16 +501,10 @@ let test_experiment_storm_is_non_converged () =
   in
   let r = Bgpsim.Experiment.run spec in
   Alcotest.(check bool) "not converged" false r.metrics.converged;
-  match Bgpsim.Experiment.status r.outcome with
-  | Bgpsim.Experiment.Non_converged { termination; events_executed; _ } ->
-      Alcotest.(check bool) "event budget" true
-        (termination = Bgp.Routing_sim.Event_budget);
-      Alcotest.(check bool) "budget respected" true (events_executed <= 20_000);
-      Alcotest.(check bool) "status names the budget" true
-        (String.length
-           (Bgpsim.Experiment.status_name (Bgpsim.Experiment.status r.outcome))
-        > 0)
-  | Bgpsim.Experiment.Completed -> Alcotest.fail "expected Non_converged"
+  Alcotest.(check string) "event budget" "event-budget"
+    (Bgp.Routing_sim.termination_name r.outcome.termination);
+  Alcotest.(check bool) "budget respected" true
+    (r.outcome.events_executed <= 20_000)
 
 let test_sweep_robust_isolates_failures () =
   (* a scenario referencing a non-edge fails validation on every seed;

@@ -438,29 +438,14 @@ let test_counters_le () =
   Alcotest.(check bool) "s0 <= s1" true (Obs.Counters.le s0 s1);
   Alcotest.(check bool) "s1 </= s0" false (Obs.Counters.le s1 s0)
 
-(* --- histogram merge + profile --- *)
-
-let test_histogram_merge () =
-  let a = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:10 in
-  let b = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:10 in
-  Stats.Histogram.add a 1.5;
-  Stats.Histogram.add b 1.5;
-  Stats.Histogram.add b 9.5;
-  Stats.Histogram.merge_into ~src:b ~dst:a;
-  Alcotest.(check int) "counts summed" 3 (Stats.Histogram.count a);
-  Alcotest.(check int) "bucket 1 has both" 2 (Stats.Histogram.bucket_count a 1);
-  let bad = Stats.Histogram.create ~lo:0. ~hi:5. ~buckets:10 in
-  Alcotest.check_raises "geometry mismatch"
-    (Invalid_argument "Histogram.merge_into: geometry mismatch") (fun () ->
-      Stats.Histogram.merge_into ~src:bad ~dst:a)
+(* --- profile --- *)
 
 let test_profile_record_and_merge () =
   let p = Obs.Profile.create () and q = Obs.Profile.create () in
-  Obs.Profile.record p ~tag:"link-deliver" ~time:1. ~wall_s:1e-5;
-  Obs.Profile.record q ~tag:"link-deliver" ~time:2. ~wall_s:2e-5;
-  Obs.Profile.record q ~tag:"mrai-fire" ~time:3. ~wall_s:1e-5;
-  Obs.Profile.record ~minor_words:40. q ~tag:"link-deliver" ~time:4.
-    ~wall_s:0.;
+  Obs.Profile.record p ~tag:"link-deliver" ~wall_s:1e-5;
+  Obs.Profile.record q ~tag:"link-deliver" ~wall_s:2e-5;
+  Obs.Profile.record q ~tag:"mrai-fire" ~wall_s:1e-5;
+  Obs.Profile.record ~minor_words:40. q ~tag:"link-deliver" ~wall_s:0.;
   Obs.Profile.merge_into ~src:q ~dst:p;
   match Obs.Profile.kinds p with
   | [ ("link-deliver", ld); ("mrai-fire", mf) ] ->
@@ -475,8 +460,8 @@ let test_profile_record_and_merge () =
 
 let test_profile_step_times_run () =
   let p = Obs.Profile.create () in
-  Obs.Profile.step p ~time:1. ~tag:(Some "x") ~run:(fun () -> ());
-  Obs.Profile.step p ~time:2. ~tag:None ~run:(fun () -> ());
+  Obs.Profile.step p ~tag:(Some "x") ~run:(fun () -> ());
+  Obs.Profile.step p ~tag:None ~run:(fun () -> ());
   match Obs.Profile.kinds p with
   | [ ("untagged", u); ("x", x) ] ->
       Alcotest.(check int) "tagged counted" 1 x.count;
@@ -733,7 +718,6 @@ let () =
         ] );
       ( "profile",
         [
-          tc "histogram merge" test_histogram_merge;
           tc "record and merge" test_profile_record_and_merge;
           tc "step times run" test_profile_step_times_run;
           tc "mesh hook: same run, every event tagged" test_profile_mesh_hook;

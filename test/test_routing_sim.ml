@@ -268,30 +268,26 @@ let test_validation () =
          run ~graph:disconnected ~origin:0 ~event:Bgp.Routing_sim.Tdown ~seed:1 ()))
 
 (* One definition of "drained": a run whose queue empties on exactly its
-   last allowed event is drained and converged, with or without a
-   watchdog (which runs the engine in chunks); one event fewer is a
+   last allowed event is drained and converged; one event fewer is a
    would-be hang. *)
 let test_drained_at_the_cap () =
   let graph = Topo.Generators.clique 5 in
-  List.iter
-    (fun (label, watchdog) ->
-      let tdown ?max_events () =
-        Bgp.Routing_sim.run ?max_events ?watchdog ~graph ~origin:0
-          ~event:Bgp.Routing_sim.Tdown ~seed:1 ()
-      in
-      let e = (tdown ()).events_executed in
-      let check cap termination converged =
-        let o = tdown ~max_events:cap () in
-        let name = Printf.sprintf "%s, cap E%+d" label (cap - e) in
-        Alcotest.(check string) (name ^ ": termination")
-          (Bgp.Routing_sim.termination_name termination)
-          (Bgp.Routing_sim.termination_name o.termination);
-        Alcotest.(check bool) (name ^ ": converged") converged o.converged
-      in
-      check (e - 1) Bgp.Routing_sim.Event_budget false;
-      check e Bgp.Routing_sim.Drained true;
-      check (e + 1) Bgp.Routing_sim.Drained true)
-    [ ("unwatched", None); ("watched", Some Faults.Watchdog.unlimited) ]
+  let tdown ?max_events () =
+    Bgp.Routing_sim.run ?max_events ~graph ~origin:0
+      ~event:Bgp.Routing_sim.Tdown ~seed:1 ()
+  in
+  let e = (tdown ()).events_executed in
+  let check cap termination converged =
+    let o = tdown ~max_events:cap () in
+    let name = Printf.sprintf "cap E%+d" (cap - e) in
+    Alcotest.(check string) (name ^ ": termination")
+      (Bgp.Routing_sim.termination_name termination)
+      (Bgp.Routing_sim.termination_name o.termination);
+    Alcotest.(check bool) (name ^ ": converged") converged o.converged
+  in
+  check (e - 1) Bgp.Routing_sim.Event_budget false;
+  check e Bgp.Routing_sim.Drained true;
+  check (e + 1) Bgp.Routing_sim.Drained true
 
 let test_tup_announces_fresh_prefix () =
   let graph = Topo.Generators.clique 6 in

@@ -347,7 +347,22 @@ let test_replay_sparse_rate () =
   Alcotest.(check int) "all fates accounted" r.sent
     (r.delivered + r.unreachable + r.exhausted)
 
-(* --- Per_source --- *)
+(* --- per source: the tally of [Forwarder.streams] --- *)
+
+let streams ~fib =
+  Traffic.Forwarder.streams (Traffic.Forwarder.compile fib)
+
+(* The tally's counts as (source, sent, delivered, unreachable,
+   exhausted), in source order. *)
+let per_source (t : Traffic.Forwarder.tally) =
+  List.init (Array.length t.sources) (fun i ->
+      (t.sources.(i), t.sent.(i), t.delivered.(i), t.unreachable.(i),
+       t.exhausted.(i)))
+
+let counts_of counts v = List.find (fun (src, _, _, _, _) -> src = v) counts
+
+let looping_ratio (_, sent, _, _, exhausted) =
+  if sent = 0 then 0. else float_of_int exhausted /. float_of_int sent
 
 let test_per_source_totals_match_replay () =
   let fib =
@@ -359,17 +374,14 @@ let test_per_source_totals_match_replay () =
     Traffic.Replay.run ~fib ~origin:0 ~n:3 ~link_delay:0.002 ~ttl:128 ~rate:10.
       ~window ~seed ()
   in
-  let per_source =
-    Traffic.Per_source.run ~fib ~origin:0 ~n:3 ~link_delay:0.002 ~ttl:128
-      ~rate:10. ~window ~seed ()
+  let t =
+    streams ~fib ~origin:0 ~n:3 ~link_delay:0.002 ~ttl:128 ~rate:10. ~window
+      ~seed ()
   in
-  let sum f = List.fold_left (fun acc s -> acc + f s) 0 per_source in
-  Alcotest.(check int) "sent" replay.sent
-    (sum (fun (s : Traffic.Per_source.stats) -> s.sent));
-  Alcotest.(check int) "delivered" replay.delivered
-    (sum (fun (s : Traffic.Per_source.stats) -> s.delivered));
-  Alcotest.(check int) "exhausted" replay.exhausted
-    (sum (fun (s : Traffic.Per_source.stats) -> s.exhausted))
+  let sum = Array.fold_left ( + ) 0 in
+  Alcotest.(check int) "sent" replay.sent (sum t.sent);
+  Alcotest.(check int) "delivered" replay.delivered (sum t.delivered);
+  Alcotest.(check int) "exhausted" replay.exhausted (sum t.exhausted)
 
 let test_per_source_identifies_affected () =
   (* loop between 1 and 2; node 3 routes straight to the origin and is
@@ -378,26 +390,28 @@ let test_per_source_identifies_affected () =
     fib_with ~n:4 [ (0., 1, Some 2); (0., 2, Some 1); (0., 3, Some 0) ]
   in
   let per_source =
-    Traffic.Per_source.run ~fib ~origin:0 ~n:4 ~link_delay:0.002 ~ttl:16
-      ~rate:10. ~window:(0., 2.) ~seed:1 ()
+    per_source
+      (streams ~fib ~origin:0 ~n:4 ~link_delay:0.002 ~ttl:16 ~rate:10.
+         ~window:(0., 2.) ~seed:1 ())
   in
   Alcotest.(check (list int)) "only loop members affected" [ 1; 2 ]
-    (Traffic.Per_source.affected per_source);
-  let stats_of v =
-    List.find (fun (s : Traffic.Per_source.stats) -> s.src = v) per_source
-  in
+    (List.filter_map
+       (fun (src, _, _, _, exhausted) ->
+         if exhausted > 0 then Some src else None)
+       per_source);
   Alcotest.(check (float 1e-9)) "node 3 clean" 0.
-    (Traffic.Per_source.looping_ratio (stats_of 3));
+    (looping_ratio (counts_of per_source 3));
   Alcotest.(check (float 1e-9)) "node 1 fully looped" 1.
-    (Traffic.Per_source.looping_ratio (stats_of 1))
+    (looping_ratio (counts_of per_source 1))
 
 let test_per_source_validation () =
   let fib = stable_chain_fib () in
   let raises sources =
     try
       ignore
-        (Traffic.Per_source.run ~fib ~origin:0 ~n:4 ~link_delay:0.002 ~ttl:128
-           ~rate:10. ~window:(0., 1.) ~seed:1 ~sources ());
+        (streams ~fib ~origin:0 ~n:4 ~link_delay:0.002 ~ttl:128 ~rate:10.
+           ~window:(0., 1.) ~seed:1 ~sources ()
+          : Traffic.Forwarder.tally);
       false
     with Invalid_argument _ -> true
   in
@@ -420,19 +434,16 @@ let test_per_source_footnote4_b_clique () =
   let run = Bgpsim.Experiment.run spec in
   let fib = Netcore.Trace.fib run.outcome.trace in
   let per_source =
-    Traffic.Per_source.run ~fib ~origin:0 ~n:(2 * n) ~link_delay:0.002 ~ttl:128
-      ~rate:10.
-      ~window:(run.outcome.t_fail, run.outcome.convergence_end)
-      ~seed:7 ()
-  in
-  let stats_of v =
-    List.find (fun (s : Traffic.Per_source.stats) -> s.src = v) per_source
+    per_source
+      (streams ~fib ~origin:0 ~n:(2 * n) ~link_delay:0.002 ~ttl:128 ~rate:10.
+         ~window:(run.outcome.t_fail, run.outcome.convergence_end)
+         ~seed:7 ())
   in
   List.iter
     (fun v ->
-      Alcotest.(check int)
-        (Printf.sprintf "chain node %d unaffected" v)
-        0 (stats_of v).exhausted)
+      let _, _, _, _, exhausted = counts_of per_source v in
+      Alcotest.(check int) (Printf.sprintf "chain node %d unaffected" v) 0
+        exhausted)
     [ 1; 2; 3 ]
 
 (* --- Differential wall: the compiled plane against the binary-search
@@ -511,19 +522,17 @@ let ref_result streams ~ratio_cutoff : Traffic.Replay.result =
     exhaustion_times;
   }
 
-let ref_per_source streams : Traffic.Per_source.stats list =
+(* The reference's counts in the order of [per_source]'s. *)
+let ref_per_source streams =
   List.map
     (fun (src, fates) ->
       let count p = List.length (List.filter (fun (_, f) -> p f) fates) in
-      {
-        Traffic.Per_source.src;
-        sent = List.length fates;
-        delivered = count is_delivered;
-        unreachable = count is_unreachable;
-        exhausted = count (fun f -> drop_time f <> None);
-      })
+      ( src,
+        List.length fates,
+        count is_delivered,
+        count is_unreachable,
+        count (fun f -> drop_time f <> None) ))
     streams
-  |> List.sort (fun (a : Traffic.Per_source.stats) b -> compare a.src b.src)
 
 (* Floats compared bit for bit. *)
 let bits = Int64.bits_of_float
@@ -643,8 +652,9 @@ let prop_plane_matches_reference =
       in
       let same_per_source =
         outcome (fun () ->
-            Traffic.Per_source.run ~fib ~origin ~n ~link_delay ~ttl ~rate
-              ~window ~seed ?sources ())
+            per_source
+              (streams ~fib ~origin ~n ~link_delay ~ttl ~rate ~window ~seed
+                 ?sources ()))
         = Result.map ref_per_source reference
       in
       (* single packets from every node, sent on and around every
